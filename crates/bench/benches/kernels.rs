@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use central_moment_analysis::lp::bench_support::KernelFixture;
-use central_moment_analysis::lp::{Cmp, FactorKind, LpProblem, LpVarId, SolverTuning};
+use central_moment_analysis::lp::{Cmp, LpProblem, LpVarId, SolverTuning};
 
 /// The warmsmoke chain stand-in at `vars` variables: a coupled path of
 /// `≥` rows plus one absorbed head bound, minimizing the column sum.
@@ -39,7 +39,7 @@ const SIZES: &[(&str, usize)] = &[("n1", 30), ("n4", 120), ("n8", 240)];
 fn bench_kernels(c: &mut Criterion) {
     for &(label, vars) in SIZES {
         let (problem, ids) = chain_problem(vars);
-        let tuning = SolverTuning::with_factor(FactorKind::Lu);
+        let tuning = SolverTuning::default();
         let mut fx = KernelFixture::solve(&problem, &tuning)
             .unwrap_or_else(|| panic!("chain fixture {label} must solve to optimality"));
         let cols = fx.nonbasic_cols();

@@ -6,17 +6,16 @@
 //! 1. **btran share** — on the n=8 walk-chain global LU analysis, backward
 //!    solves must stay a bounded share of the pivot-level profile
 //!    (`btran_ns / (ftran+btran+pricing+ratio)`).  Before the hyper-sparse
-//!    unit-rhs btran and the sparse-loaded dual-price btran, the m seeding
-//!    btrans of dual steepest edge dominated the profile; the guard fails
-//!    if that world comes back.
+//!    unit-rhs btran and the sparse-loaded dual-price btran, backward solves
+//!    dominated the profile; the guard fails if that world comes back.
 //! 2. **steady-state kernel allocations** — a warm re-minimize on a solved
 //!    chain session must report `kernel_allocs == 0`: every ftran/btran of
 //!    the hot loop ran inside the session workspace without growing it.
 //!
 //! Exits nonzero (panics) on any violated pin, failing the CI job.
 
-use central_moment_analysis::lp::{Cmp, LpBackend, LpProblem, SolverTuning, TunedBackend};
-use central_moment_analysis::{Analysis, FactorKind, SolveMode, SparseBackend};
+use central_moment_analysis::lp::{Cmp, LpBackend, LpProblem};
+use central_moment_analysis::{Analysis, SolveMode, SparseBackend};
 use cma_suite::synthetic;
 
 /// Maximum btran share of the pivot-level profile on the n=8 global LU
@@ -31,9 +30,7 @@ fn main() {
     let report = Analysis::benchmark(&benchmark)
         .degree(2)
         .mode(SolveMode::Global)
-        .factor(FactorKind::Lu)
         .soundness(false)
-        .backend(SparseBackend)
         .run()
         .expect("n=8 walk-chain must analyze");
     let lp = &report.lp;
@@ -66,8 +63,7 @@ fn main() {
     }
     lp.add_constraint(vec![(vars[0], 1.0)], Cmp::Le, 400.0);
     let objective: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
-    let backend = TunedBackend::new(SparseBackend, SolverTuning::with_factor(FactorKind::Lu));
-    let mut session = backend.open(&lp);
+    let mut session = SparseBackend.open(&lp);
     let first = session.minimize(&objective);
     assert!(first.is_optimal(), "chain stand-in must solve: {first:?}");
     session.add_constraint(&[(vars[0], 1.0)], Cmp::Ge, first.value(vars[0]) + 5.0);

@@ -17,17 +17,21 @@
 //! 3. **shared-template soundness extension** — the Thm 4.4 step-counting
 //!    derivation, run as a plan transformer over the main derivation's
 //!    templates, must append *strictly fewer* constraints and variables
-//!    than the PR 2 disjoint-by-construction baseline (re-measured here
-//!    with the phase-1 warm strategy, which takes the disjoint path).
+//!    than the disjoint-by-construction baseline (re-measured here through
+//!    the cold re-solving reference backend, whose sessions take the
+//!    disjoint path).
 //!
 //! Exits nonzero (panics) on any violated budget, failing the CI job.
 
 use central_moment_analysis::inference::{
     analyze_session, analyze_with, soundness_report_in_session, AnalysisOptions,
 };
-use central_moment_analysis::lp::WarmStrategy;
 use central_moment_analysis::suite::running;
-use central_moment_analysis::{FactorKind, SolveMode, SparseBackend};
+use central_moment_analysis::{SolveMode, SparseBackend};
+
+// The cold re-solving reference backend shared with the `cma-lp` tests.
+#[path = "../../../lp/tests/common/cold.rs"]
+mod cold;
 
 const TOL: f64 = 1e-4;
 
@@ -35,8 +39,7 @@ fn main() {
     let benchmark = running::rdwalk();
     let options = AnalysisOptions::degree(1)
         .with_mode(SolveMode::Global)
-        .with_valuation(benchmark.valuation.clone())
-        .with_factor(FactorKind::Lu);
+        .with_valuation(benchmark.valuation.clone());
 
     // --- Guard 1: degree 1 -> 2 escalation matches from-scratch. ----------
     let (_, mut session) =
@@ -125,9 +128,9 @@ fn main() {
         "dual/sparse sessions must share templates with the extension"
     );
 
-    let disjoint_options = soundness_options.with_warm_resolve(WarmStrategy::Phase1);
     let (_, mut disjoint_session) =
-        analyze_session(&benchmark.program, &disjoint_options, &SparseBackend).expect("rdwalk");
+        analyze_session(&benchmark.program, &soundness_options, &cold::ColdBackend)
+            .expect("rdwalk");
     let disjoint = soundness_report_in_session(&mut disjoint_session, &benchmark.program, 2);
     assert!(disjoint.is_sound(), "rdwalk is sound (disjoint)");
     assert!(

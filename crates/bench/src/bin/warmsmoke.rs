@@ -18,7 +18,7 @@
 use central_moment_analysis::inference::{
     analyze_session, soundness_report_in_session, AnalysisOptions,
 };
-use central_moment_analysis::lp::{FactorKind, LpBackend, SolverTuning, TunedBackend};
+use central_moment_analysis::lp::LpBackend;
 use central_moment_analysis::suite::{synthetic, Benchmark};
 use central_moment_analysis::{SolveMode, SparseBackend};
 
@@ -33,11 +33,9 @@ fn main() {
     let benchmark = synthetic::random_walk_chain(n).in_suite("synthetic");
     let options = AnalysisOptions::degree(2)
         .with_mode(SolveMode::Global)
-        .with_valuation(benchmark.valuation.clone())
-        .with_factor(FactorKind::Lu);
+        .with_valuation(benchmark.valuation.clone());
 
     // --- Scenario 1: one cutting row on a solved chain-shaped LP. --------
-    let backend = TunedBackend::new(SparseBackend, SolverTuning::with_factor(FactorKind::Lu));
     let lp = {
         use central_moment_analysis::lp::{Cmp, LpProblem};
         // A chain-shaped LP stand-in with the same warm-resolve mechanics:
@@ -54,7 +52,7 @@ fn main() {
     };
     let (problem, vars) = lp;
     let objective: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
-    let mut session = backend.open(&problem);
+    let mut session = SparseBackend.open(&problem);
     let first = session.minimize(&objective);
     assert!(first.is_optimal(), "chain stand-in must solve: {first:?}");
     // Cut: force the head variable above its current optimum.
@@ -124,7 +122,7 @@ fn main() {
     // The warm dual repair after a degree 1 → 2 escalation must spend fewer
     // total simplex iterations than solving the degree-2 system cold — the
     // whole point of keeping the session warm.  Guarded on the two largest
-    // chain sizes the CI bench sweep commits.
+    // chain sizes of the Fig. 10 sweep.
     use central_moment_analysis::Analysis;
     for n in [7usize, 8] {
         let chain = synthetic::random_walk_chain(n).in_suite("synthetic");
@@ -132,9 +130,7 @@ fn main() {
             Analysis::benchmark(b)
                 .degree(2)
                 .mode(SolveMode::Global)
-                .factor(FactorKind::Lu)
                 .soundness(false)
-                .backend(SparseBackend)
         };
         let cold = base(&chain).run().expect("cold walk-chain analyzable");
         let escalated = base(&chain)

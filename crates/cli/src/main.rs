@@ -21,8 +21,7 @@ use std::process::ExitCode;
 
 use central_moment_analysis::suite::{self, Benchmark};
 use central_moment_analysis::{
-    check, json, Analysis, AnalysisReport, CheckConfig, CmaError, DualPricing, DualRatio,
-    FactorKind, LpBackend, PricingRule, SolveMode, SparseBackend, Var,
+    check, json, Analysis, CheckConfig, CmaError, LpBackend, SolveMode, Var,
 };
 
 const USAGE: &str = "\
@@ -48,12 +47,6 @@ ANALYSIS OPTIONS:
     --escalate M         solve at degree M first, then escalate the live LP
                          session to --degree (warm dual re-solve, no re-derive)
     --mode MODE          global | compositional (default global)
-    --backend B          dense | sparse LP solver (default dense)
-    --pricing P          dantzig | devex | partial simplex pricing (default devex)
-    --factor F           dense | lu basis factorization (default dense)
-    --dual-pricing P     devex | steepest dual leaving-row pricing for warm
-                         re-solves (default devex)
-    --dual-ratio R       bound-flip | harris dual ratio test (default bound-flip)
     --no-presolve        skip the LP presolve pass (row/column reductions)
     --threads N          solve independent compositional groups on N threads
     --timeout SECS       wall-clock budget for the whole analysis; when it runs
@@ -155,16 +148,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// The LP solver selected with `--backend`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum BackendChoice {
-    /// The dense two-phase reference simplex.
-    #[default]
-    Dense,
-    /// The sparse revised simplex (recommended for large chain programs).
-    Sparse,
-}
-
 /// Options shared by `analyze`, `tail`, and `suite run`.
 #[derive(Debug, Clone, Default)]
 struct AnalyzeOpts {
@@ -173,11 +156,6 @@ struct AnalyzeOpts {
     max_poly_degree: Option<u32>,
     escalate: Option<usize>,
     mode: Option<SolveMode>,
-    backend: BackendChoice,
-    pricing: Option<PricingRule>,
-    factor: Option<FactorKind>,
-    dual_pricing: Option<DualPricing>,
-    dual_ratio: Option<DualRatio>,
     no_presolve: bool,
     threads: Option<usize>,
     valuation: Option<Vec<(Var, f64)>>,
@@ -271,34 +249,6 @@ fn parse_opts(args: &[String]) -> Result<AnalyzeOpts, CmaError> {
                         )))
                     }
                 });
-            }
-            "--backend" => {
-                let v = it.next().ok_or_else(|| missing("--backend"))?;
-                opts.backend = match v.as_str() {
-                    "dense" => BackendChoice::Dense,
-                    "sparse" => BackendChoice::Sparse,
-                    other => {
-                        return Err(CmaError::Usage(format!(
-                            "invalid --backend `{other}` (expected dense or sparse)"
-                        )))
-                    }
-                };
-            }
-            "--pricing" => {
-                let v = it.next().ok_or_else(|| missing("--pricing"))?;
-                opts.pricing = Some(v.parse().map_err(CmaError::Usage)?);
-            }
-            "--factor" => {
-                let v = it.next().ok_or_else(|| missing("--factor"))?;
-                opts.factor = Some(v.parse().map_err(CmaError::Usage)?);
-            }
-            "--dual-pricing" => {
-                let v = it.next().ok_or_else(|| missing("--dual-pricing"))?;
-                opts.dual_pricing = Some(v.parse().map_err(CmaError::Usage)?);
-            }
-            "--dual-ratio" => {
-                let v = it.next().ok_or_else(|| missing("--dual-ratio"))?;
-                opts.dual_ratio = Some(v.parse().map_err(CmaError::Usage)?);
             }
             "--no-presolve" => opts.no_presolve = true,
             "--threads" => {
@@ -439,18 +389,6 @@ fn apply_analysis_opts<B: LpBackend>(mut analysis: Analysis<B>, opts: &AnalyzeOp
     if let Some(mode) = opts.mode {
         analysis = analysis.mode(mode);
     }
-    if let Some(pricing) = opts.pricing {
-        analysis = analysis.pricing(pricing);
-    }
-    if let Some(factor) = opts.factor {
-        analysis = analysis.factor(factor);
-    }
-    if let Some(dual_pricing) = opts.dual_pricing {
-        analysis = analysis.dual_pricing(dual_pricing);
-    }
-    if let Some(dual_ratio) = opts.dual_ratio {
-        analysis = analysis.dual_ratio(dual_ratio);
-    }
     if opts.no_presolve {
         analysis = analysis.presolve(false);
     }
@@ -477,17 +415,6 @@ fn configured_analysis(source: &str, path: &str, opts: &AnalyzeOpts) -> Result<A
         .map_err(|e| e.with_context(format!("while parsing `{path}`")))?
         .label(opts.label.clone().unwrap_or_else(|| path.to_string()));
     Ok(apply_analysis_opts(analysis, opts))
-}
-
-/// Runs a configured pipeline with the `--backend` the user picked.
-fn run_with_backend<B: LpBackend>(
-    analysis: Analysis<B>,
-    backend: BackendChoice,
-) -> Result<AnalysisReport, CmaError> {
-    match backend {
-        BackendChoice::Dense => analysis.run(),
-        BackendChoice::Sparse => analysis.backend(SparseBackend).run(),
-    }
 }
 
 /// Runs `f` with panic containment: a panic anywhere inside the analysis
@@ -539,7 +466,7 @@ fn cmd_analyze(args: &[String], tail_only: bool) -> Result<(), CmaError> {
     let source = read_source(path)?;
     let report = contain_panics(path, || {
         injected_failure(path);
-        run_with_backend(configured_analysis(&source, path, &opts)?, opts.backend)
+        configured_analysis(&source, path, &opts)?.run()
     })
     .map_err(|e| {
         print_check_diagnostics(&e);
@@ -821,7 +748,7 @@ fn cmd_suite(args: &[String]) -> Result<(), CmaError> {
                 if let Some(label) = &opts.label {
                     analysis = analysis.label(label.clone());
                 }
-                match run_with_backend(analysis, opts.backend) {
+                match analysis.run() {
                     Ok(report) => {
                         if opts.json {
                             json_rows.push(report.to_json());
@@ -909,9 +836,6 @@ fn corpus_passthrough(opts: &AnalyzeOpts) -> Vec<String> {
                 SolveMode::Compositional => "compositional".to_string(),
             },
         );
-    }
-    if opts.backend == BackendChoice::Sparse {
-        push_val("--backend", "sparse".to_string());
     }
     if let Some(v) = opts.group_timeout {
         push_val("--group-timeout", v.to_string());

@@ -164,15 +164,15 @@ fn run_one(
     soft_fraction: f64,
     scratch_tag: &str,
 ) -> io::Result<RunResult> {
+    // Unique per run within the process: campaigns running concurrently in
+    // one process (as the test harness does) reuse worker/index tags, and a
+    // shared capture file would let one run truncate another's output.
+    static RUN_SEQ: AtomicUsize = AtomicUsize::new(0);
+    let seq = RUN_SEQ.fetch_add(1, Ordering::Relaxed);
     let scratch = std::env::temp_dir();
-    let out_path = scratch.join(format!(
-        "cma-corpus-{}-{scratch_tag}.out",
-        std::process::id()
-    ));
-    let err_path = scratch.join(format!(
-        "cma-corpus-{}-{scratch_tag}.err",
-        std::process::id()
-    ));
+    let stem = format!("cma-corpus-{}-{seq}-{scratch_tag}", std::process::id());
+    let out_path = scratch.join(format!("{stem}.out"));
+    let err_path = scratch.join(format!("{stem}.err"));
     let out_file = File::create(&out_path)?;
     let err_file = File::create(&err_path)?;
 

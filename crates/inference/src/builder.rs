@@ -8,7 +8,7 @@
 //! incrementally into an open [`cma_lp::LpSession`] (the soundness phase
 //! extends the main system this way instead of re-deriving it).
 
-use cma_lp::{Cmp, LpBackend, LpSolution, LpVarId, SimplexBackend};
+use cma_lp::{Cmp, LpBackend, LpSolution, LpVarId, SparseBackend};
 use cma_semiring::poly::{Monomial, Var};
 
 use crate::plan::DerivationPlan;
@@ -235,9 +235,9 @@ impl ConstraintBuilder {
         }
     }
 
-    /// Solves the accumulated problem with the default simplex backend.
+    /// Solves the accumulated problem with [`SparseBackend`].
     pub fn solve(&mut self) -> LpSolution {
-        self.solve_with(&SimplexBackend)
+        self.solve_with(&SparseBackend)
     }
 
     /// Solves the accumulated problem with the given [`LpBackend`]

@@ -55,20 +55,16 @@ pub struct AnalysisOptions {
     /// concurrently (1 = sequential; only [`SolveMode::Compositional`] has
     /// independent groups to parallelize).
     pub threads: usize,
-    /// Pricing rule the LP backends use to choose entering columns (devex by
-    /// default; see `cma_lp::PricingRule`).
+    /// The LP pricing rule (always devex; kept only so the benchmark crate
+    /// can print it).
     pub pricing: PricingRule,
     /// Whether the LP presolve pass runs at session open (on by default).
     pub presolve: bool,
-    /// Basis factorization the LP backends solve with (dense `B⁻¹` by
-    /// default, Markowitz LU with eta updates via `lu`; see
-    /// `cma_lp::FactorKind`).
+    /// The LP basis factorization (always LU; kept only so the benchmark
+    /// crate can set and print it).
     pub factor: FactorKind,
-    /// How warm LP sessions re-solve after incremental rows — dual-simplex
-    /// pivots by default, or the legacy phase-1 restart (see
-    /// `cma_lp::WarmStrategy`).  Also selects whether the soundness
-    /// extension rides the live main session (dual) or solves its disjoint
-    /// subsystem standalone (phase1).
+    /// The LP warm re-solve strategy (always dual simplex; kept only so the
+    /// benchmark crate can print it).
     pub warm_resolve: WarmStrategy,
     /// Upper limit for automatic base-polynomial-degree escalation: when the
     /// generated LP is *infeasible* at `poly_degree` (templates too weak to
@@ -98,11 +94,11 @@ pub struct AnalysisOptions {
     /// remains of [`timeout`](Self::timeout).  `None` (the default) gives
     /// groups no deadline of their own.
     pub group_timeout: Option<Duration>,
-    /// How dual warm re-solves price the leaving row (devex by default,
-    /// exact steepest-edge via `Steepest`; see `cma_lp::DualPricing`).
+    /// The dual re-solve's leaving-row pricing (always devex; kept only so
+    /// the benchmark crate can print it).
     pub dual_pricing: DualPricing,
-    /// The dual ratio test: long-step bound-flipping by default, or the
-    /// classic Harris min-ratio (see `cma_lp::DualRatio`).
+    /// The dual ratio test (always bound-flipping; kept only so the
+    /// benchmark crate can print it).
     pub dual_ratio: DualRatio,
 }
 
@@ -160,39 +156,9 @@ impl AnalysisOptions {
         self
     }
 
-    /// Sets the LP pricing rule.
-    pub fn with_pricing(mut self, pricing: PricingRule) -> Self {
-        self.pricing = pricing;
-        self
-    }
-
     /// Enables or disables the LP presolve pass.
     pub fn with_presolve(mut self, presolve: bool) -> Self {
         self.presolve = presolve;
-        self
-    }
-
-    /// Sets the LP basis factorization.
-    pub fn with_factor(mut self, factor: FactorKind) -> Self {
-        self.factor = factor;
-        self
-    }
-
-    /// Sets the warm re-solve strategy for incremental LP rows.
-    pub fn with_warm_resolve(mut self, warm: WarmStrategy) -> Self {
-        self.warm_resolve = warm;
-        self
-    }
-
-    /// Sets the dual leaving-row pricing used by warm re-solves.
-    pub fn with_dual_pricing(mut self, pricing: DualPricing) -> Self {
-        self.dual_pricing = pricing;
-        self
-    }
-
-    /// Sets the dual ratio test used by warm re-solves.
-    pub fn with_dual_ratio(mut self, ratio: DualRatio) -> Self {
-        self.dual_ratio = ratio;
         self
     }
 
@@ -229,13 +195,8 @@ impl AnalysisOptions {
     /// deadline-carrying tunings from this plus the timeout options).
     pub fn solver_tuning(&self) -> SolverTuning {
         SolverTuning {
-            pricing: self.pricing,
             presolve: self.presolve,
-            factor: self.factor,
-            warm: self.warm_resolve,
             budget: SolveBudget::UNLIMITED,
-            dual_pricing: self.dual_pricing,
-            dual_ratio: self.dual_ratio,
             deadline_check_period: DEADLINE_CHECK_PERIOD,
         }
     }
@@ -434,8 +395,7 @@ pub struct GroupLpStats {
     pub presolve_rows: usize,
     /// LP columns removed by presolve (fixed or unreferenced).
     pub presolve_cols: usize,
-    /// Product-form eta updates appended by the LU factorization (0 under
-    /// the dense inverse).
+    /// Forrest–Tomlin updates applied to the LU factorization.
     pub etas: usize,
     /// Dual-simplex pivots spent on warm incremental-row re-solves.
     pub dual_pivots: usize,
@@ -862,8 +822,7 @@ impl<'a> AnalysisSession<'a> {
         let rows_before = self.builder.num_constraints();
         let objective_mark = self.builder.store().objective_len();
 
-        let flush_in_place =
-            options.warm_resolve == WarmStrategy::Dual && self.session.warm_resolves_in_place();
+        let flush_in_place = self.session.warm_resolves_in_place();
         // Template sharing additionally needs the main plan to cover the
         // whole program (global mode) *and* the appended rows to land in the
         // live session (otherwise the disjoint subproblem fast path below
@@ -901,8 +860,8 @@ impl<'a> AnalysisSession<'a> {
         let sub = if flush_in_place {
             // Ride the live session: appended rows keep the optimal basis
             // dual feasible, so the warm re-solve is a dual step.  Sessions
-            // that would re-solve from scratch (the dense reference) keep
-            // the standalone-subsystem fast path below.
+            // that would re-solve from scratch keep the standalone-subsystem
+            // fast path below.
             None
         } else {
             self.builder
@@ -1832,7 +1791,7 @@ impl TarjanState<'_> {
 mod tests {
     use super::*;
     use cma_appl::build::*;
-    use cma_lp::SimplexBackend;
+    use cma_lp::SparseBackend;
 
     /// A program with one refuted branch (`x < 0` right after `x := 1`), one
     /// never-entered loop, and one write-only variable, plus the facts a
@@ -1864,11 +1823,11 @@ mod tests {
     #[test]
     fn range_facts_prune_the_generated_lp() {
         let (program, facts) = pruned_fixture();
-        let base = analyze_with(&program, &AnalysisOptions::degree(2), &SimplexBackend).unwrap();
+        let base = analyze_with(&program, &AnalysisOptions::degree(2), &SparseBackend).unwrap();
         assert!(!base.pruning.any());
 
         let options = AnalysisOptions::degree(2).with_range_facts(Arc::new(facts));
-        let pruned = analyze_with(&program, &options, &SimplexBackend).unwrap();
+        let pruned = analyze_with(&program, &options, &SparseBackend).unwrap();
         assert_eq!(
             pruned.pruning,
             PruningStats {
@@ -1899,7 +1858,7 @@ mod tests {
     fn pruned_session_escalates_and_extends_consistently() {
         let (program, facts) = pruned_fixture();
         let facts = Arc::new(facts);
-        let backend = SimplexBackend;
+        let backend = SparseBackend;
         let options = AnalysisOptions::degree(1).with_range_facts(facts.clone());
         let (r1, mut session) = analyze_session(&program, &options, &backend).unwrap();
         assert_eq!(r1.pruning.refuted_branches, 1);
@@ -1908,7 +1867,7 @@ mod tests {
         let r2 = session.escalate_degree(2).unwrap();
         assert_eq!(r2.pruning, r1.pruning);
         let cold_options = AnalysisOptions::degree(2).with_range_facts(facts);
-        let cold = analyze_with(&program, &cold_options, &SimplexBackend).unwrap();
+        let cold = analyze_with(&program, &cold_options, &SparseBackend).unwrap();
         for k in 1..=2 {
             let hot = r2.raw_moment_at(k, &[(Var::new("x"), 1.0)]);
             let ref_b = cold.raw_moment_at(k, &[(Var::new("x"), 1.0)]);
@@ -1985,8 +1944,8 @@ mod tests {
             .unwrap();
         let sequential = AnalysisOptions::degree(2).with_mode(SolveMode::Compositional);
         let parallel = sequential.clone().with_threads(4);
-        let seq_result = analyze_with(&program, &sequential, &SimplexBackend).unwrap();
-        let par_result = analyze_with(&program, &parallel, &SimplexBackend).unwrap();
+        let seq_result = analyze_with(&program, &sequential, &SparseBackend).unwrap();
+        let par_result = analyze_with(&program, &parallel, &SparseBackend).unwrap();
         assert_eq!(seq_result.lp_solves, par_result.lp_solves);
         assert_eq!(seq_result.groups, par_result.groups);
         for (s, p) in seq_result.bounds.iter().zip(&par_result.bounds) {
@@ -2001,14 +1960,14 @@ mod tests {
             .main(call("geo"))
             .build()
             .unwrap();
-        let global = analyze_with(&program, &AnalysisOptions::degree(2), &SimplexBackend).unwrap();
+        let global = analyze_with(&program, &AnalysisOptions::degree(2), &SparseBackend).unwrap();
         assert_eq!(global.groups.len(), 1);
         assert_eq!(global.groups[0].name, "global");
         assert_eq!(global.groups[0].variables, global.lp_variables);
         assert_eq!(global.groups[0].constraints, global.lp_constraints);
 
         let options = AnalysisOptions::degree(2).with_mode(SolveMode::Compositional);
-        let compositional = analyze_with(&program, &options, &SimplexBackend).unwrap();
+        let compositional = analyze_with(&program, &options, &SparseBackend).unwrap();
         assert_eq!(compositional.groups.len(), 2);
         assert_eq!(compositional.groups[0].name, "geo");
         assert_eq!(compositional.groups.last().unwrap().name, "main");
@@ -2027,7 +1986,7 @@ mod tests {
             .build()
             .unwrap();
         let options = AnalysisOptions::degree(2);
-        let backend = SimplexBackend;
+        let backend = SparseBackend;
         let (result, mut session) = analyze_session(&program, &options, &backend).unwrap();
         assert_eq!(session.minimizes(), 1);
         assert_eq!(session.extension_constraints(), 0);
@@ -2061,7 +2020,7 @@ mod tests {
             .main(seq([tick(2.0), tick(3.0)]))
             .build()
             .unwrap();
-        let result = analyze_with(&program, &AnalysisOptions::degree(3), &SimplexBackend).unwrap();
+        let result = analyze_with(&program, &AnalysisOptions::degree(3), &SparseBackend).unwrap();
         let intervals = result.raw_intervals_at(&[]);
         assert!((intervals[1].mid() - 5.0).abs() < 1e-6);
         assert!((intervals[2].mid() - 25.0).abs() < 1e-6);
@@ -2077,7 +2036,7 @@ mod tests {
             .main(if_prob(0.5, tick(2.0), tick(4.0)))
             .build()
             .unwrap();
-        let result = analyze_with(&program, &AnalysisOptions::degree(3), &SimplexBackend).unwrap();
+        let result = analyze_with(&program, &AnalysisOptions::degree(3), &SparseBackend).unwrap();
         let i = result.raw_intervals_at(&[]);
         assert!((i[1].mid() - 3.0).abs() < 1e-6 && i[1].width() < 1e-6);
         assert!((i[2].mid() - 10.0).abs() < 1e-6);
@@ -2099,7 +2058,7 @@ mod tests {
             .main(call("geo"))
             .build()
             .unwrap();
-        let result = analyze_with(&program, &AnalysisOptions::degree(2), &SimplexBackend).unwrap();
+        let result = analyze_with(&program, &AnalysisOptions::degree(2), &SparseBackend).unwrap();
         let i = result.raw_intervals_at(&[]);
         assert!(i[1].lo() <= 2.0 + 1e-6 && i[1].hi() >= 2.0 - 1e-6);
         assert!(i[2].hi() >= 6.0 - 1e-6);
@@ -2123,7 +2082,7 @@ mod tests {
             .build()
             .unwrap();
         let options = AnalysisOptions::degree(2).with_mode(SolveMode::Compositional);
-        match analyze_with(&program, &options, &SimplexBackend) {
+        match analyze_with(&program, &options, &SparseBackend) {
             Ok(result) => {
                 let i = result.raw_intervals_at(&[]);
                 assert!(i[1].hi() >= 6.0 - 1e-6);
@@ -2164,11 +2123,11 @@ mod tests {
             deadline: Some(Instant::now() - Duration::from_secs(1)),
             ..SolveBudget::UNLIMITED
         };
-        SimplexBackend.solve_with(&lp, &SolverTuning::with_budget(expired))
+        SparseBackend.solve_with(&lp, &SolverTuning::with_budget(expired))
     }
 
     /// A backend whose first `failures` minimizes come back budget-exhausted
-    /// and which then behaves exactly like [`SimplexBackend`] — the
+    /// and which then behaves exactly like [`SparseBackend`] — the
     /// deterministic stand-in for "the deadline fired mid-campaign".
     struct FlakyBudget {
         failures: std::sync::atomic::AtomicUsize,
@@ -2220,7 +2179,7 @@ mod tests {
         }
         fn open<'a>(&'a self, problem: &cma_lp::LpProblem) -> Box<dyn LpSession + 'a> {
             Box::new(FlakySession {
-                inner: SimplexBackend.open(problem),
+                inner: SparseBackend.open(problem),
                 failures: &self.failures,
             })
         }
@@ -2235,7 +2194,7 @@ mod tests {
     fn expired_deadline_is_budget_exhaustion_not_infeasibility() {
         let program = coin_program();
         let options = AnalysisOptions::degree(2).with_timeout(Duration::ZERO);
-        let err = analyze_with(&program, &options, &SimplexBackend).unwrap_err();
+        let err = analyze_with(&program, &options, &SparseBackend).unwrap_err();
         assert!(err.budget_exhausted(), "{err:?}");
         // The one invariant the whole budget design hangs on: exhaustion is
         // never infeasibility, so it can never trigger a poly-degree retry.
@@ -2279,7 +2238,7 @@ mod tests {
     fn resilient_without_exhaustion_records_no_degradation() {
         let program = coin_program();
         let (result, _session) =
-            analyze_session_resilient(&program, &AnalysisOptions::degree(2), &SimplexBackend)
+            analyze_session_resilient(&program, &AnalysisOptions::degree(2), &SparseBackend)
                 .unwrap();
         assert!(!result.degradation.degraded());
         assert_eq!(result.degradation.to_string(), "");

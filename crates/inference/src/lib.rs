@@ -33,14 +33,14 @@
 //! ```
 //! use cma_appl::parse_program;
 //! use cma_inference::{analyze_with, AnalysisOptions};
-//! use cma_lp::SimplexBackend;
+//! use cma_lp::SparseBackend;
 //!
 //! let program = parse_program(r#"
 //!     func main() begin
 //!       if prob(0.5) then tick(2) else tick(4) fi
 //!     end
 //! "#).unwrap();
-//! let result = analyze_with(&program, &AnalysisOptions::degree(2), &SimplexBackend).unwrap();
+//! let result = analyze_with(&program, &AnalysisOptions::degree(2), &SparseBackend).unwrap();
 //! // E[C] = 3, E[C^2] = 10 exactly; the analysis brackets both.
 //! let e1 = result.raw_moment_at(1, &[]);
 //! let e2 = result.raw_moment_at(2, &[]);
@@ -63,6 +63,11 @@ pub mod store;
 pub mod tail;
 pub mod template;
 pub mod weaken;
+
+// The cold re-solving reference backend shared with the `cma-lp` tests.
+#[cfg(test)]
+#[path = "../../lp/tests/common/cold.rs"]
+mod cold;
 
 pub use central::CentralMoments;
 pub use engine::{

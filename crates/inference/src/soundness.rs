@@ -11,7 +11,7 @@
 //!    `∥Y_n∥∞ ∈ O((n+1)^{m·d})` (Lemma F.3).
 
 use cma_appl::ast::{Expr, Function, Program, Stmt, StmtKind};
-use cma_lp::{LpBackend, SimplexBackend};
+use cma_lp::{LpBackend, SparseBackend};
 use cma_semiring::poly::Var;
 
 use crate::engine::{analyze_with, AnalysisError, AnalysisOptions, AnalysisSession};
@@ -167,7 +167,7 @@ pub fn check_termination_moment(
     k: usize,
     options: &AnalysisOptions,
 ) -> Result<(), AnalysisError> {
-    check_termination_moment_with(program, k, options, &SimplexBackend)
+    check_termination_moment_with(program, k, options, &SparseBackend)
 }
 
 /// [`check_termination_moment`] with an explicit [`LpBackend`].
@@ -214,7 +214,7 @@ pub fn soundness_report(
     degree: usize,
     options: &AnalysisOptions,
 ) -> SoundnessReport {
-    soundness_report_with(program, degree, options, &SimplexBackend)
+    soundness_report_with(program, degree, options, &SparseBackend)
 }
 
 /// [`soundness_report`] with an explicit [`LpBackend`] (standalone: derives
@@ -471,8 +471,8 @@ mod tests {
 
     #[test]
     fn in_session_report_reuses_the_constraint_store() {
+        use crate::cold::ColdBackend;
         use crate::engine::analyze_session;
-        use cma_lp::SparseBackend;
 
         let program = ProgramBuilder::new()
             .function(
@@ -483,7 +483,7 @@ mod tests {
             .build()
             .unwrap();
         let options = AnalysisOptions::degree(2);
-        for backend in [&SimplexBackend as &dyn LpBackend, &SparseBackend] {
+        for backend in [&SparseBackend as &dyn LpBackend, &ColdBackend] {
             let (result, mut session) = analyze_session(&program, &options, backend).unwrap();
             let report = soundness_report_in_session(&mut session, &program, 2);
             assert!(report.is_sound(), "geo is sound");
@@ -505,8 +505,8 @@ mod tests {
 
     #[test]
     fn shared_template_extension_is_strictly_smaller_than_disjoint() {
+        use crate::cold::ColdBackend;
         use crate::engine::analyze_session;
-        use cma_lp::{SparseBackend, WarmStrategy};
 
         let program = ProgramBuilder::new()
             .function(
@@ -517,9 +517,9 @@ mod tests {
             .build()
             .unwrap();
 
-        // Shared: the sparse core under the default dual warm strategy rides
-        // the live session, so the instrumented derivation runs in shadow
-        // mode against the main plan.
+        // Shared: the sparse core's dual warm re-solve rides the live
+        // session, so the instrumented derivation runs in shadow mode
+        // against the main plan.
         let options = AnalysisOptions::degree(2);
         let (_, mut session) = analyze_session(&program, &options, &SparseBackend).unwrap();
         let shared = soundness_report_in_session(&mut session, &program, 2);
@@ -527,11 +527,9 @@ mod tests {
         assert!(shared.shared_templates, "dual/sparse must share templates");
         assert!(shared.shared_template_columns > 0);
 
-        // Disjoint baseline (the PR 2 behavior): phase-1 warm strategy takes
-        // the standalone-subproblem path with all-fresh templates.
-        let disjoint_options = AnalysisOptions::degree(2).with_warm_resolve(WarmStrategy::Phase1);
-        let (_, mut baseline) =
-            analyze_session(&program, &disjoint_options, &SparseBackend).unwrap();
+        // Disjoint baseline: a session that re-solves from scratch takes the
+        // standalone-subproblem path with all-fresh templates.
+        let (_, mut baseline) = analyze_session(&program, &options, &ColdBackend).unwrap();
         let disjoint = soundness_report_in_session(&mut baseline, &program, 2);
         assert!(disjoint.is_sound());
         assert!(!disjoint.shared_templates);

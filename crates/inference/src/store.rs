@@ -169,7 +169,8 @@ impl ConstraintStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cma_lp::{LpStatus, SimplexBackend, SparseBackend};
+    use crate::cold::ColdBackend;
+    use cma_lp::{LpStatus, SparseBackend};
 
     fn backend_roundtrip(backend: &dyn LpBackend) {
         let mut store = ConstraintStore::new();
@@ -208,8 +209,8 @@ mod tests {
 
     #[test]
     fn store_flush_roundtrips_through_both_backends() {
-        backend_roundtrip(&SimplexBackend);
         backend_roundtrip(&SparseBackend);
+        backend_roundtrip(&ColdBackend);
     }
 
     #[test]

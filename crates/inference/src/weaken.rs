@@ -25,14 +25,6 @@ pub fn require_poly_geq(
     smaller: &TemplatePoly,
     tag: &str,
 ) {
-    // Debug facility: `CMA_RELAX=<substring>` drops every constraint whose tag
-    // contains the substring, which isolates the family responsible for an
-    // infeasibility.  Never set in production code paths.
-    if let Some(pattern) = std::env::var_os("CMA_RELAX") {
-        if !pattern.is_empty() && tag.contains(pattern.to_string_lossy().as_ref()) {
-            return;
-        }
-    }
     // difference = bigger - smaller - Σ λ_i · products_i  must be 0 per monomial.
     let mut difference = bigger.sub(smaller);
     for (i, product) in products.iter().enumerate() {
@@ -43,16 +35,6 @@ pub fn require_poly_geq(
                 .map(|(m, c)| (m.clone(), LinCoef::var(lambda).scale(c))),
         );
         difference = difference.sub(&scaled);
-    }
-    if std::env::var_os("CMA_LP_DEBUG").is_some() {
-        for (m, c) in difference.terms() {
-            if c.is_constant() && c.constant_part().abs() > 1e-9 {
-                eprintln!(
-                    "[cma-inference] unsatisfiable coefficient at `{tag}`, monomial {m}: {}",
-                    c.constant_part()
-                );
-            }
-        }
     }
     builder.constrain_zero_poly(&difference);
 }

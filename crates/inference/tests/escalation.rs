@@ -10,9 +10,9 @@
 //! * **degree escalation** — `escalate_degree(m')` from a degree-`m` session
 //!   replays the derivation plan, appends only the new moment components to
 //!   the live warm session, and must reproduce the from-scratch degree-`m'`
-//!   bounds while reporting nonzero template/column reuse.  Pinned across
-//!   the dense/sparse × factor × warm matrix, with a proptest sweeping
-//!   fixtures, degree pairs, and valuations.
+//!   bounds while reporting nonzero template/column reuse.  Pinned on the
+//!   warm production backend and the cold re-solving reference, with a
+//!   proptest sweeping fixtures, degree pairs, and valuations.
 //! * **poly-degree retry** — an analysis that is infeasible at base degree
 //!   `d` and allowed to retry must land on the same bounds as a direct run
 //!   at the degree it settles on.
@@ -20,28 +20,24 @@
 use cma_appl::build::*;
 use cma_appl::Program;
 use cma_inference::{analyze_session, analyze_with, AnalysisError, AnalysisOptions, SolveMode};
-use cma_lp::{FactorKind, LpBackend, SimplexBackend, SparseBackend, WarmStrategy};
+use cma_lp::{LpBackend, SparseBackend};
 use cma_semiring::poly::Var;
 use proptest::prelude::*;
 
-const TOL: f64 = 1e-4;
+#[path = "../../lp/tests/common/cold.rs"]
+mod cold;
 
-/// One solver configuration of the pinning matrix.
-type SolverConfig = (&'static str, Box<dyn LpBackend>, FactorKind, WarmStrategy);
+use cold::ColdBackend;
+
+const TOL: f64 = 1e-4;
 
 /// A named fixture with the valuation its bounds are compared at.
 type Fixture = (&'static str, Program, Vec<(Var, f64)>);
 
-/// The backend × factorization × warm-resolve matrix every pinning runs on.
-fn matrix() -> Vec<SolverConfig> {
-    let mut configs: Vec<SolverConfig> = Vec::new();
-    for factor in [FactorKind::Dense, FactorKind::Lu] {
-        for warm in [WarmStrategy::Dual, WarmStrategy::Phase1] {
-            configs.push(("dense", Box::new(SimplexBackend), factor, warm));
-            configs.push(("sparse", Box::new(SparseBackend), factor, warm));
-        }
-    }
-    configs
+/// The backends every pinning runs on: the warm production backend and the
+/// cold re-solving reference.
+fn matrix() -> [(&'static str, &'static dyn LpBackend); 2] {
+    [("sparse", &SparseBackend), ("cold", &ColdBackend)]
 }
 
 fn geo() -> Program {
@@ -128,19 +124,13 @@ fn escalation_matches_from_scratch_across_the_solver_matrix() {
         ("countdown", countdown(), vec![(Var::new("n"), 5.0)]),
     ];
     for (name, program, at) in &fixtures {
-        for (backend_name, backend, factor, warm) in matrix() {
-            let context = format!("{name}/{backend_name}/{}/{}", factor.name(), warm.name());
-            let options = AnalysisOptions::degree(2)
-                .with_factor(factor)
-                .with_warm_resolve(warm)
-                .with_valuation(at.clone());
-            let (_, mut session) = analyze_session(program, &options, backend.as_ref()).unwrap();
+        for (backend_name, backend) in matrix() {
+            let context = format!("{name}/{backend_name}");
+            let options = AnalysisOptions::degree(2).with_valuation(at.clone());
+            let (_, mut session) = analyze_session(program, &options, backend).unwrap();
             let escalated = session.escalate_degree(4).unwrap();
-            let scratch_options = AnalysisOptions::degree(4)
-                .with_factor(factor)
-                .with_warm_resolve(warm)
-                .with_valuation(at.clone());
-            let scratch = analyze_with(program, &scratch_options, backend.as_ref()).unwrap();
+            let scratch_options = AnalysisOptions::degree(4).with_valuation(at.clone());
+            let scratch = analyze_with(program, &scratch_options, backend).unwrap();
             assert_bounds_match(&escalated, &scratch, at, &context);
 
             let stats = escalated.escalation.expect("escalation stats present");
@@ -179,7 +169,7 @@ fn chained_escalation_reaches_the_same_fixpoint() {
 fn escalation_to_a_non_larger_degree_is_rejected() {
     let program = geo();
     let (_, mut session) =
-        analyze_session(&program, &AnalysisOptions::degree(2), &SimplexBackend).unwrap();
+        analyze_session(&program, &AnalysisOptions::degree(2), &SparseBackend).unwrap();
     match session.escalate_degree(2) {
         Err(AnalysisError::InvalidEscalation { from: 2, to: 2 }) => {}
         other => panic!("expected InvalidEscalation, got {other:?}"),
@@ -207,12 +197,12 @@ fn escalation_after_an_extension_is_rejected() {
 fn compositional_escalation_falls_back_to_a_cold_rederive() {
     let program = geo();
     let options = AnalysisOptions::degree(2).with_mode(SolveMode::Compositional);
-    let (_, mut session) = analyze_session(&program, &options, &SimplexBackend).unwrap();
+    let (_, mut session) = analyze_session(&program, &options, &SparseBackend).unwrap();
     let escalated = session.escalate_degree(4).unwrap();
     let stats = escalated.escalation.expect("stats");
     assert_eq!(stats.cold_restarts, 1, "compositional restarts cold");
     let scratch_options = AnalysisOptions::degree(4).with_mode(SolveMode::Compositional);
-    let scratch = analyze_with(&program, &scratch_options, &SimplexBackend).unwrap();
+    let scratch = analyze_with(&program, &scratch_options, &SparseBackend).unwrap();
     assert_bounds_match(&escalated, &scratch, &[], "geo compositional");
     // The swapped-in session keeps working (e.g. for a later extension).
     assert!(session.escalate_degree(5).is_ok());
@@ -222,14 +212,12 @@ fn compositional_escalation_falls_back_to_a_cold_rederive() {
 fn auto_poly_retry_matches_the_direct_higher_degree_run() {
     let program = triangle();
     let at = vec![(Var::new("n"), 4.0)];
-    for (backend_name, backend, factor, warm) in matrix() {
-        let context = format!("triangle/{backend_name}/{}/{}", factor.name(), warm.name());
+    for (backend_name, backend) in matrix() {
+        let context = format!("triangle/{backend_name}");
         let options = AnalysisOptions::degree(1)
-            .with_factor(factor)
-            .with_warm_resolve(warm)
             .with_valuation(at.clone())
             .with_max_poly_degree(2);
-        let retried = analyze_with(&program, &options, backend.as_ref()).unwrap();
+        let retried = analyze_with(&program, &options, backend).unwrap();
         assert_eq!(retried.poly_retries, 1, "{context}");
         assert_eq!(retried.poly_degree, 2, "{context}");
         assert!(
@@ -239,17 +227,15 @@ fn auto_poly_retry_matches_the_direct_higher_degree_run() {
         );
         let direct_options = AnalysisOptions::degree(1)
             .with_poly_degree(2)
-            .with_factor(factor)
-            .with_warm_resolve(warm)
             .with_valuation(at.clone());
-        let direct = analyze_with(&program, &direct_options, backend.as_ref()).unwrap();
+        let direct = analyze_with(&program, &direct_options, backend).unwrap();
         assert_bounds_match(&retried, &direct, &at, &context);
     }
 }
 
 #[test]
 fn infeasibility_without_retry_budget_reports_the_failing_degrees() {
-    let err = analyze_with(&triangle(), &AnalysisOptions::degree(1), &SimplexBackend).unwrap_err();
+    let err = analyze_with(&triangle(), &AnalysisOptions::degree(1), &SparseBackend).unwrap_err();
     assert_eq!(err.infeasible_at(), Some((1, 1)));
     match err {
         AnalysisError::LpFailed {
@@ -270,7 +256,7 @@ fn escalation_after_poly_retry_keeps_the_settled_poly_degree() {
     let options = AnalysisOptions::degree(1)
         .with_max_poly_degree(2)
         .with_valuation(at.clone());
-    let (result, mut session) = analyze_session(&program, &options, &SimplexBackend).unwrap();
+    let (result, mut session) = analyze_session(&program, &options, &SparseBackend).unwrap();
     assert_eq!(result.poly_degree, 2);
     let escalated = session.escalate_degree(2).unwrap();
     assert_eq!(escalated.poly_degree, 2);
@@ -280,7 +266,7 @@ fn escalation_after_poly_retry_keeps_the_settled_poly_degree() {
     let scratch_options = AnalysisOptions::degree(2)
         .with_poly_degree(2)
         .with_valuation(at.clone());
-    let scratch = analyze_with(&program, &scratch_options, &SimplexBackend).unwrap();
+    let scratch = analyze_with(&program, &scratch_options, &SparseBackend).unwrap();
     assert_bounds_match(&escalated, &scratch, &at, "triangle escalate-after-retry");
 }
 
@@ -293,29 +279,20 @@ proptest! {
         from in 1usize..3,
         extra in 1usize..3,
         val in 0.0f64..8.0,
-        config in 0usize..4,
+        config in 0usize..2,
     ) {
         let (program, at): (Program, Vec<(Var, f64)>) = match fixture {
             0 => (geo(), vec![]),
             1 => (coin_pair(), vec![(Var::new("x"), val)]),
             _ => (countdown(), vec![(Var::new("n"), val.floor())]),
         };
-        let (backend, factor): (Box<dyn LpBackend>, FactorKind) = match config {
-            0 => (Box::new(SimplexBackend), FactorKind::Dense),
-            1 => (Box::new(SimplexBackend), FactorKind::Lu),
-            2 => (Box::new(SparseBackend), FactorKind::Dense),
-            _ => (Box::new(SparseBackend), FactorKind::Lu),
-        };
+        let (_, backend) = matrix()[config];
         let to = from + extra;
-        let options = AnalysisOptions::degree(from)
-            .with_factor(factor)
-            .with_valuation(at.clone());
-        let (_, mut session) = analyze_session(&program, &options, backend.as_ref()).unwrap();
+        let options = AnalysisOptions::degree(from).with_valuation(at.clone());
+        let (_, mut session) = analyze_session(&program, &options, backend).unwrap();
         let escalated = session.escalate_degree(to).unwrap();
-        let scratch_options = AnalysisOptions::degree(to)
-            .with_factor(factor)
-            .with_valuation(at.clone());
-        let scratch = analyze_with(&program, &scratch_options, backend.as_ref()).unwrap();
+        let scratch_options = AnalysisOptions::degree(to).with_valuation(at.clone());
+        let scratch = analyze_with(&program, &scratch_options, backend).unwrap();
         assert_bounds_match(&escalated, &scratch, &at, &format!("prop f{fixture} {from}->{to} c{config}"));
         prop_assert!(escalated.escalation.unwrap().reused_columns > 0);
     }

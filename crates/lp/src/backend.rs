@@ -2,9 +2,9 @@
 //!
 //! The derivation system reduces bound inference to linear programming but
 //! does not care *how* the program is solved — the paper's artifact used
-//! Gurobi, this reproduction ships two configurations of one shared simplex
-//! core, and a production deployment might shell out to a parallel
-//! interior-point solver.  The [`LpBackend`] trait is that seam: everything
+//! Gurobi, this reproduction ships one sparse revised simplex
+//! ([`SparseBackend`]), and a production deployment might shell out to a
+//! parallel interior-point solver.  The [`LpBackend`] trait is that seam: everything
 //! above `cma-lp` (the constraint builder, the analysis engine, the
 //! `Analysis` pipeline facade) takes a backend value instead of hard-wiring a
 //! solver.
@@ -27,10 +27,8 @@
 //!   [`solve_batch`](LpBackend::solve_batch) are provided methods layered on
 //!   top of `open`.
 //!
-//! Every entry point has a `_with` twin taking [`SolverTuning`] (pricing
-//! rule, presolve, basis factorization, warm-resolve strategy) — the
-//! built-in backends honor it; [`TunedBackend`] pins a tuning onto a backend
-//! value for callers generic over [`LpBackend`].
+//! Every entry point has a `_with` twin taking [`SolverTuning`] (presolve,
+//! resource budget) — the built-in backend honors it.
 //!
 //! Variable ids are shared between a session and the [`LpProblem`] it was
 //! opened on: ids created through [`LpSession::add_var`] continue the same id
@@ -76,12 +74,9 @@
 //!
 //! New backends implement [`LpBackend::open`] (the one required method
 //! besides [`name`](LpBackend::name)) and inherit `solve` / `solve_batch`.
-//! The PR 1-era escape hatch — a default `open` that wrapped `solve`-only
-//! backends in a re-solving session — is gone: it silently re-solved from
-//! scratch on every `minimize`, so stateful reuse and incremental rows
-//! gained nothing, and its last in-tree caller has been ported.  A backend
-//! whose underlying solver really is one-shot can still implement `open` as
-//! a few lines that keep the growable problem and re-solve per `minimize`.
+//! A backend whose underlying solver is one-shot can implement `open` as a
+//! few lines that keep the growable problem and re-solve per `minimize`
+//! (the test suite's cold reference backend does exactly that).
 //!
 //! Backends must be [`Sync`]: [`solve_batch`](LpBackend::solve_batch) shares
 //! one backend value across worker threads to solve independent problems
@@ -141,10 +136,10 @@ pub trait LpBackend: Sync {
     /// [`LpSession::minimize`]).
     fn open<'a>(&'a self, problem: &LpProblem) -> Box<dyn LpSession + 'a>;
 
-    /// Opens a session under explicit [`SolverTuning`] (pricing rule,
-    /// presolve, factorization, warm-resolve strategy).  The default
-    /// ignores the tuning and defers to [`open`](Self::open), so
-    /// third-party backends keep compiling; the built-in backends honor it.
+    /// Opens a session under explicit [`SolverTuning`] (presolve, budget).
+    /// The default ignores the tuning and defers to [`open`](Self::open),
+    /// so third-party backends keep compiling; the built-in backend honors
+    /// it.
     fn open_with<'a>(
         &'a self,
         problem: &LpProblem,
@@ -217,123 +212,14 @@ pub trait LpBackend: Sync {
     }
 }
 
-/// Applies presolve (when enabled) around an inner-session constructor.
-fn open_maybe_presolved<'a>(
-    problem: &LpProblem,
-    tuning: &SolverTuning,
-    open_inner: impl FnOnce(&LpProblem) -> Box<dyn LpSession + 'a>,
-) -> Box<dyn LpSession + 'a> {
-    if tuning.presolve {
-        let pre = presolve(problem);
-        let inner = open_inner(pre.reduced());
-        Box::new(pre.into_session(inner))
-    } else {
-        open_inner(problem)
-    }
-}
-
-/// The dense backend's session: keeps the (growable) problem and runs the
-/// shared simplex core — dense column storage, tuned factorization — from
-/// scratch on every `minimize`.  Deliberately stateless between solves:
-/// that is what makes it the trustworthy reference the stateful
-/// [`SparseBackend`] is pinned against.
-struct ReSolveSession {
-    problem: LpProblem,
-    tuning: SolverTuning,
-    /// Iterations already charged against the session budget by earlier
-    /// re-solves.  The dense session opens a fresh core per `minimize`, so
-    /// the cross-minimize budget carry-over the contract requires (item 7)
-    /// is accounted here: each solve runs under the budget *remainder*.
-    spent_iters: usize,
-    /// Refactorizations already charged against the session budget.
-    spent_refactorizations: usize,
-}
-
-impl ReSolveSession {
-    fn new(problem: LpProblem, tuning: SolverTuning) -> Self {
-        ReSolveSession {
-            problem,
-            tuning,
-            spent_iters: 0,
-            spent_refactorizations: 0,
-        }
-    }
-}
-
-impl LpSession for ReSolveSession {
-    fn add_var(&mut self, name: &str, free: bool) -> LpVarId {
-        self.problem.add_var(name, free)
-    }
-
-    fn add_constraint(&mut self, terms: &[(LpVarId, f64)], cmp: Cmp, rhs: f64) {
-        self.problem.add_constraint(terms.to_vec(), cmp, rhs);
-    }
-
-    fn minimize(&mut self, objective: &[(LpVarId, f64)]) -> LpSolution {
-        self.problem.set_objective(objective.to_vec());
-        let mut tuning = self.tuning;
-        tuning.budget.max_iters = tuning
-            .budget
-            .max_iters
-            .map(|cap| cap.saturating_sub(self.spent_iters));
-        tuning.budget.max_refactorizations = tuning
-            .budget
-            .max_refactorizations
-            .map(|cap| cap.saturating_sub(self.spent_refactorizations));
-        let solution = self.problem.solve_dense_with(&tuning);
-        self.spent_iters += solution.stats.iterations;
-        self.spent_refactorizations += solution.stats.refactorizations;
-        solution
-    }
-
-    fn num_vars(&self) -> usize {
-        self.problem.num_vars()
-    }
-
-    fn num_constraints(&self) -> usize {
-        self.problem.num_constraints()
-    }
-}
-
-/// The built-in dense two-phase primal simplex (the reference backend).
+/// The sparse revised simplex over the CSR constraint matrix — the crate's
+/// one solver.
 ///
-/// A thin configuration of the shared `SimplexCore`: dense column storage,
-/// sessions that re-solve from scratch on every `minimize` — simple and
-/// trustworthy, which is exactly what the reference implementation should
-/// be.  The stateful, warm-started alternative is
-/// [`SparseBackend`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimplexBackend;
-
-impl LpBackend for SimplexBackend {
-    fn name(&self) -> &str {
-        "dense-simplex"
-    }
-
-    fn open<'a>(&'a self, problem: &LpProblem) -> Box<dyn LpSession + 'a> {
-        self.open_with(problem, &SolverTuning::default())
-    }
-
-    fn open_with<'a>(
-        &'a self,
-        problem: &LpProblem,
-        tuning: &SolverTuning,
-    ) -> Box<dyn LpSession + 'a> {
-        let tuning = *tuning;
-        open_maybe_presolved(problem, &tuning, |reduced| {
-            Box::new(ReSolveSession::new(reduced.clone(), tuning))
-        })
-    }
-}
-
-/// The sparse revised simplex over the CSR constraint matrix.
-///
-/// The shared `SimplexCore` with sparse column storage and live session
-/// state: re-minimizing with a new objective restarts phase 2 from the
-/// previous optimal basis, incrementally added rows extend the basis instead
-/// of rebuilding it, and — under the default dual warm-resolve strategy — a
-/// cutting row is repaired by a handful of dual-simplex pivots rather than a
-/// phase-1 restart (see `crates/lp/src/core.rs`).
+/// Sessions keep live state: re-minimizing with a new objective restarts
+/// phase 2 from the previous optimal basis, incrementally added rows extend
+/// the basis instead of rebuilding it, and a cutting row is repaired by a
+/// handful of dual-simplex pivots rather than a phase-1 restart (see
+/// `crates/lp/src/core.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SparseBackend;
 
@@ -351,73 +237,13 @@ impl LpBackend for SparseBackend {
         problem: &LpProblem,
         tuning: &SolverTuning,
     ) -> Box<dyn LpSession + 'a> {
-        open_maybe_presolved(problem, tuning, |reduced| {
-            Box::new(SimplexCore::open_with(reduced, tuning, false))
-        })
-    }
-}
-
-/// A backend bound to explicit [`SolverTuning`]: every session it opens —
-/// through `open`, `open_with`, `solve`, or a batch — uses *its* tuning,
-/// regardless of what the caller passes.  This is how a caller-side pricing
-/// or factorization choice (e.g. `cma --factor lu`) rides through code
-/// generic over [`LpBackend`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TunedBackend<B> {
-    backend: B,
-    tuning: SolverTuning,
-}
-
-impl<B: LpBackend> TunedBackend<B> {
-    /// Binds `backend` to `tuning`.
-    pub fn new(backend: B, tuning: SolverTuning) -> Self {
-        TunedBackend { backend, tuning }
-    }
-
-    /// The bound tuning.
-    pub fn tuning(&self) -> SolverTuning {
-        self.tuning
-    }
-}
-
-impl<B: LpBackend> LpBackend for TunedBackend<B> {
-    fn name(&self) -> &str {
-        self.backend.name()
-    }
-
-    fn open<'a>(&'a self, problem: &LpProblem) -> Box<dyn LpSession + 'a> {
-        self.backend.open_with(problem, &self.tuning)
-    }
-
-    fn open_with<'a>(
-        &'a self,
-        problem: &LpProblem,
-        _tuning: &SolverTuning,
-    ) -> Box<dyn LpSession + 'a> {
-        self.backend.open_with(problem, &self.tuning)
-    }
-
-    fn solve(&self, problem: &LpProblem) -> LpSolution {
-        self.backend.solve_with(problem, &self.tuning)
-    }
-
-    fn solve_with(&self, problem: &LpProblem, _tuning: &SolverTuning) -> LpSolution {
-        self.backend.solve_with(problem, &self.tuning)
-    }
-
-    fn solve_batch(&self, problems: &[LpProblem], threads: usize) -> Vec<LpSolution> {
-        self.backend
-            .solve_batch_with(problems, threads, &self.tuning)
-    }
-
-    fn solve_batch_with(
-        &self,
-        problems: &[LpProblem],
-        threads: usize,
-        _tuning: &SolverTuning,
-    ) -> Vec<LpSolution> {
-        self.backend
-            .solve_batch_with(problems, threads, &self.tuning)
+        if tuning.presolve {
+            let pre = presolve(problem);
+            let inner = Box::new(SimplexCore::open_with(pre.reduced(), tuning));
+            Box::new(pre.into_session(inner))
+        } else {
+            Box::new(SimplexCore::open_with(problem, tuning))
+        }
     }
 }
 
@@ -483,7 +309,7 @@ mod tests {
     fn simplex_backend_matches_direct_solve() {
         let lp = toy_problem();
         let direct = lp.solve();
-        let via_backend = SimplexBackend.solve(&lp);
+        let via_backend = SparseBackend.solve(&lp);
         assert_eq!(via_backend.status, LpStatus::Optimal);
         assert!((via_backend.objective - direct.objective).abs() < 1e-9);
     }
@@ -491,14 +317,42 @@ mod tests {
     #[test]
     fn backends_work_behind_references_and_dyn() {
         let lp = toy_problem();
-        let backend = SimplexBackend;
-        let by_ref: &SimplexBackend = &backend;
-        assert_eq!(by_ref.name(), "dense-simplex");
+        let backend = SparseBackend;
+        let by_ref: &SparseBackend = &backend;
+        assert_eq!(by_ref.name(), "sparse-revised-simplex");
         assert!(by_ref.solve(&lp).is_optimal());
         let dynamic: &dyn LpBackend = &backend;
         assert!(dynamic.solve(&lp).is_optimal());
-        assert_eq!(dynamic.name(), "dense-simplex");
+        assert_eq!(dynamic.name(), "sparse-revised-simplex");
         assert!(dynamic.open(&lp).minimize(lp.objective()).is_optimal());
+    }
+
+    /// A session that keeps the growable problem and re-solves it from
+    /// scratch on every `minimize` — the shape of a one-shot third-party
+    /// solver behind the session seam.
+    struct ReSolveSession(LpProblem);
+
+    impl LpSession for ReSolveSession {
+        fn add_var(&mut self, name: &str, free: bool) -> LpVarId {
+            self.0.add_var(name, free)
+        }
+
+        fn add_constraint(&mut self, terms: &[(LpVarId, f64)], cmp: Cmp, rhs: f64) {
+            self.0.add_constraint(terms.to_vec(), cmp, rhs);
+        }
+
+        fn minimize(&mut self, objective: &[(LpVarId, f64)]) -> LpSolution {
+            self.0.set_objective(objective.to_vec());
+            self.0.solve()
+        }
+
+        fn num_vars(&self) -> usize {
+            self.0.num_vars()
+        }
+
+        fn num_constraints(&self) -> usize {
+            self.0.num_constraints()
+        }
     }
 
     /// A third-party backend that implements only the required `open`
@@ -512,10 +366,7 @@ mod tests {
         }
 
         fn open<'a>(&'a self, problem: &LpProblem) -> Box<dyn LpSession + 'a> {
-            Box::new(ReSolveSession::new(
-                problem.clone(),
-                SolverTuning::default(),
-            ))
+            Box::new(ReSolveSession(problem.clone()))
         }
     }
 
@@ -527,6 +378,7 @@ mod tests {
         let first = session.minimize(lp.objective());
         assert_eq!(first.status, LpStatus::Optimal);
         assert!((first.objective - (-7.0)).abs() < 1e-7);
+        assert!(!session.warm_resolves_in_place());
         // Incremental row through the re-solving session: y <= 1 moves the
         // optimum to (3, 1) with objective -5.
         let y = LpVarId::from_index(1);
@@ -548,8 +400,8 @@ mod tests {
                 lp
             })
             .collect();
-        let sequential = SimplexBackend.solve_batch(&problems, 1);
-        let parallel = SimplexBackend.solve_batch(&problems, 4);
+        let sequential = SparseBackend.solve_batch(&problems, 1);
+        let parallel = SparseBackend.solve_batch(&problems, 4);
         assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(&parallel) {
             assert_eq!(s.status, p.status);

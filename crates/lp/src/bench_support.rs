@@ -2,7 +2,7 @@
 //!
 //! The `cma-bench` crate times ftran/btran/eta-apply on real solved bases
 //! (reached as `central_moment_analysis::lp::bench_support`), but the
-//! kernel plumbing — `SimplexCore`'s workspace, the factorization seam —
+//! kernel plumbing — `SimplexCore`'s workspace and LU factors —
 //! is deliberately crate-private.  This module is the narrow, *unstable*
 //! bridge: hidden from docs, no API promises, nothing here is meant for
 //! solver clients.
@@ -29,12 +29,12 @@ pub struct KernelFixture {
 }
 
 impl KernelFixture {
-    /// Opens a sparse-representation core over `problem`, solves its own
-    /// objective to optimality, and captures the basis.  `None` when the
+    /// Opens a core over `problem`, solves its own objective to
+    /// optimality, and captures the basis.  `None` when the
     /// solve does not end `Optimal` — a fixture over a failed solve would
     /// time garbage.
     pub fn solve(problem: &LpProblem, tuning: &SolverTuning) -> Option<KernelFixture> {
-        let mut core = SimplexCore::open_with(problem, tuning, false);
+        let mut core = SimplexCore::open_with(problem, tuning);
         let solution = core.minimize(problem.objective());
         if solution.status != LpStatus::Optimal {
             return None;

@@ -1,42 +1,32 @@
-//! The unified simplex core shared by every built-in backend.
+//! The simplex core behind [`SparseBackend`](crate::SparseBackend) and
+//! [`LpProblem::solve`](crate::LpProblem::solve).
 //!
-//! Until PR 4 the crate carried two parallel implementations of the same
-//! iteration loop — a dense tableau solver and a sparse revised simplex —
-//! and every pivoting feature (Harris ratio test, anti-degeneracy
-//! perturbation, artificial-pivot guard) had to be written twice.
-//! [`SimplexCore`] is the single remaining loop, parameterized along two
-//! axes:
-//!
-//! * the **matrix representation** ([`ColumnStore`]): sparse `(row, coeff)`
-//!   lists (the session backend) or dense column vectors (the reference
-//!   configuration the dense backend solves with);
-//! * the **basis factorization** ([`Factorization`](crate::factor)):
-//!   an explicit dense `B⁻¹` or a Markowitz LU with eta-file updates,
-//!   chosen per solve via [`SolverTuning::factor`](crate::SolverTuning).
+//! [`SimplexCore`] is the crate's one iteration loop: a revised simplex over
+//! sparse `(row, coeff)` columns ([`ColumnStore`]) and the Markowitz LU
+//! basis factorization with Forrest–Tomlin updates ([`LuFactor`]).
 //!
 //! The core is stateful and implements the full [`LpSession`] contract:
 //!
 //! * **re-minimize** — a new objective restarts phase 2 from the previous
 //!   optimal basis and skips phase 1 entirely;
 //! * **incremental rows** — an appended row extends the basis in place with
-//!   the row's slack (or an artificial for equality rows).  Under the
-//!   default [`WarmStrategy::Dual`], a row the current point violates makes
-//!   its new basic variable *negative* and the next solve restores primal
-//!   feasibility with **dual-simplex pivots** from the still-dual-feasible
-//!   optimal basis — a handful of pivots instead of a phase-1 restart.
-//!   [`WarmStrategy::Phase1`] keeps the legacy artificial-plus-phase-1 path;
+//!   the row's slack (or an artificial for equality rows).  A row the
+//!   current point violates makes its new basic variable *negative*, and
+//!   the next solve restores primal feasibility with **dual-simplex pivots**
+//!   from the still-dual-feasible optimal basis — a handful of pivots
+//!   instead of a phase-1 restart;
 //! * **incremental columns** — a new variable enters nonbasic at zero and
 //!   disturbs nothing.
 //!
-//! Numerical discipline is unchanged from the pre-seam solvers: pluggable
-//! pricing (devex by default), the Harris two-pass ratio test with a bounded
-//! right-hand-side perturbation against degenerate cycling, Bland's rule as
-//! the size-scaled last resort, periodic refactorization from the pristine
-//! columns, and fresh-refactorized confirmation before optimality or
-//! unboundedness is declared.  The dual-simplex driver gets the same
-//! treatment: stability-first ratio tie-breaking, a Bland-style fallback,
-//! and a hard cap after which the solve falls back to a cold phase-1 start
-//! rather than risk a wrong verdict.
+//! Numerical discipline: devex pricing, the Harris two-pass ratio test with
+//! a bounded right-hand-side perturbation against degenerate cycling,
+//! Bland's rule as the size-scaled last resort, periodic refactorization
+//! from the pristine columns, and fresh-refactorized confirmation before
+//! optimality or unboundedness is declared.  The dual-simplex driver gets
+//! the same treatment: devex leaving-row weights, the bound-flipping ratio
+//! test with stability-first tie-breaking, a Bland-style fallback, and a
+//! hard cap after which the solve falls back to a cold phase-1 start rather
+//! than risk a wrong verdict.
 
 // Simplex kernels index several parallel vectors (directions, basic values)
 // at once; indexed loops are the clearest form here.
@@ -46,11 +36,8 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use crate::backend::LpSession;
-use crate::factor::{FactorKind, Factorization, KernelWs, WarmStrategy};
-use crate::pricing::{
-    bland_fallback_threshold, DualPricing, DualRatio, PivotView, PricingRule, SolveBudget,
-    SolverTuning,
-};
+use crate::factor::{KernelWs, LuFactor};
+use crate::pricing::{bland_fallback_threshold, DevexPricer, PivotView, SolveBudget, SolverTuning};
 use crate::simplex::{Cmp, LpProblem, LpSolution, LpStatus, LpVarId, SolveStats};
 
 const EPS: f64 = 1e-9;
@@ -62,9 +49,6 @@ const FEAS_EPS: f64 = 1e-6;
 /// Reduced costs this far below zero disqualify the warm basis from a dual
 /// re-solve (numerics drifted; fall back to a cold start).
 const DUAL_FEAS_EPS: f64 = 1e-6;
-/// Below this many rows the dual steepest-edge seeding btrans run
-/// sequentially — a pool fan-out cannot amortize its queue traffic.
-const PAR_SEED_MIN_ROWS: usize = 64;
 
 /// What a standard-form column stands for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,111 +62,46 @@ enum ColKind {
     Artificial,
 }
 
-/// The constraint columns in standard form — the matrix-representation axis
-/// of the core.
-///
-/// `Sparse` stores one `(row, coeff)` list per column (what the session
-/// backend uses) plus a row-major mirror of the same entries — the
-/// adjacency the devex α-scatter walks when the pivot row is hyper-sparse;
-/// `Dense` stores plain column vectors, the thin configuration the dense
-/// reference backend runs the same core with.
-#[derive(Debug, Clone)]
-pub(crate) enum ColumnStore {
-    Sparse {
-        cols: Vec<Vec<(usize, f64)>>,
-        rows: Vec<Vec<(u32, f64)>>,
-    },
-    Dense(Vec<Vec<f64>>),
+/// The constraint columns in standard form: one `(row, coeff)` list per
+/// column plus a row-major mirror of the same entries — the adjacency the
+/// devex α-scatter walks when the pivot row is hyper-sparse.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ColumnStore {
+    cols: Vec<Vec<(usize, f64)>>,
+    rows: Vec<Vec<(u32, f64)>>,
 }
 
 impl ColumnStore {
-    /// An empty store of the requested representation.
-    pub(crate) fn new(dense: bool) -> ColumnStore {
-        if dense {
-            ColumnStore::Dense(Vec::new())
-        } else {
-            ColumnStore::Sparse {
-                cols: Vec::new(),
-                rows: Vec::new(),
-            }
-        }
-    }
-
     /// Number of columns.
     pub(crate) fn num_cols(&self) -> usize {
-        match self {
-            ColumnStore::Sparse { cols, .. } => cols.len(),
-            ColumnStore::Dense(cols) => cols.len(),
-        }
+        self.cols.len()
     }
 
     /// Appends an empty column, returning its index.
     pub(crate) fn push_col(&mut self) -> usize {
-        match self {
-            ColumnStore::Sparse { cols, .. } => {
-                cols.push(Vec::new());
-                cols.len() - 1
-            }
-            ColumnStore::Dense(cols) => {
-                cols.push(Vec::new());
-                cols.len() - 1
-            }
-        }
+        self.cols.push(Vec::new());
+        self.cols.len() - 1
     }
 
-    /// Adds `val` to entry (`row`, `j`).
+    /// Adds the entry `val` at (`row`, `j`).
     pub(crate) fn push_entry(&mut self, j: usize, row: usize, val: f64) {
-        match self {
-            ColumnStore::Sparse { cols, rows } => {
-                cols[j].push((row, val));
-                if rows.len() <= row {
-                    rows.resize_with(row + 1, Vec::new);
-                }
-                rows[row].push((j as u32, val));
-            }
-            ColumnStore::Dense(cols) => {
-                let col = &mut cols[j];
-                if col.len() <= row {
-                    col.resize(row + 1, 0.0);
-                }
-                col[row] += val;
-            }
+        self.cols[j].push((row, val));
+        if self.rows.len() <= row {
+            self.rows.resize_with(row + 1, Vec::new);
         }
+        self.rows[row].push((j as u32, val));
     }
 
     /// Visits the nonzero `(row, value)` entries of column `j`.
     pub(crate) fn for_each(&self, j: usize, f: &mut dyn FnMut(usize, f64)) {
-        match self {
-            ColumnStore::Sparse { cols, .. } => {
-                for &(r, a) in &cols[j] {
-                    f(r, a);
-                }
-            }
-            ColumnStore::Dense(cols) => {
-                for (r, &a) in cols[j].iter().enumerate() {
-                    if a != 0.0 {
-                        f(r, a);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The row-major mirror of the sparse store (`None` for the dense
-    /// store, which has no scatter path to feed).
-    pub(crate) fn rows_adjacency(&self) -> Option<&[Vec<(u32, f64)>]> {
-        match self {
-            ColumnStore::Sparse { rows, .. } => Some(rows),
-            ColumnStore::Dense(_) => None,
+        for &(r, a) in &self.cols[j] {
+            f(r, a);
         }
     }
 
     /// The dot product of column `j` with a row-indexed vector.
     fn dot(&self, j: usize, x: &[f64]) -> f64 {
-        match self {
-            ColumnStore::Sparse { cols, .. } => cols[j].iter().map(|&(r, a)| a * x[r]).sum(),
-            ColumnStore::Dense(cols) => cols[j].iter().zip(x).map(|(a, xr)| a * xr).sum(),
-        }
+        self.cols[j].iter().map(|&(r, a)| a * x[r]).sum()
     }
 }
 
@@ -231,21 +150,17 @@ pub(crate) struct SimplexCore {
     init_basis: Vec<usize>,
     basis: Vec<usize>,
     is_basic: Vec<bool>,
-    /// The pluggable basis factorization.
-    factor: Box<dyn Factorization>,
+    /// The basis factorization.
+    factor: LuFactor,
     /// The factorization no longer matches `basis` (declined update or row
     /// extension); rebuilt from pristine columns before the next pivots.
     factor_stale: bool,
     /// Current basic values, aligned with `basis`.  May carry *negative*
-    /// entries after warm row extension under the dual strategy.
+    /// entries after warm row extension.
     xb: Vec<f64>,
     /// Whether `basis`/`factor`/`xb` describe the state left by an
     /// `Optimal` minimize (false forces a cold rebuild).
     warm: bool,
-    /// Whether incrementally added rows introduced artificials that still
-    /// carry positive values (phase 1 over them runs at the next minimize;
-    /// [`WarmStrategy::Phase1`] only).
-    needs_phase1: bool,
     /// Standard-form costs of the last successful minimize — the objective
     /// the warm basis is dual feasible for, which is what the dual-simplex
     /// restoration prices with.
@@ -255,14 +170,6 @@ pub(crate) struct SimplexCore {
     /// Pivots applied since the factorization was last rebuilt from pristine
     /// columns.  Gates the periodic refreshes.
     stale_pivots: usize,
-    /// Pricing rule used to choose entering columns.
-    pricing: PricingRule,
-    /// Leaving-row pricing used by the dual-simplex restoration.
-    dual_pricing: DualPricing,
-    /// Dual ratio test variant (legacy single-breakpoint vs bound-flipping).
-    dual_ratio: DualRatio,
-    /// Warm re-solve strategy for incrementally added rows.
-    warm_strategy: WarmStrategy,
     /// Per-`minimize` solver counters (reset at each `minimize`).
     stats: SolveStats,
     /// Whether `xb` currently carries an anti-degeneracy shift (washed out
@@ -305,17 +212,13 @@ pub(crate) struct SimplexCore {
 }
 
 impl SimplexCore {
-    /// Opens a core over the problem's variables and constraint rows with
-    /// the given representation and tuning (presolve is the backend
-    /// wrapper's business and ignored here).
-    pub(crate) fn open_with(
-        problem: &LpProblem,
-        tuning: &SolverTuning,
-        dense: bool,
-    ) -> SimplexCore {
+    /// Opens a core over the problem's variables and constraint rows under
+    /// the given tuning (presolve is the backend wrapper's business and
+    /// ignored here).
+    pub(crate) fn open_with(problem: &LpProblem, tuning: &SolverTuning) -> SimplexCore {
         let mut core = SimplexCore {
             var_cols: Vec::new(),
-            cols: ColumnStore::new(dense),
+            cols: ColumnStore::default(),
             kind: Vec::new(),
             up: Vec::new(),
             at_upper: Vec::new(),
@@ -325,18 +228,13 @@ impl SimplexCore {
             init_basis: Vec::new(),
             basis: Vec::new(),
             is_basic: Vec::new(),
-            factor: tuning.factor.instantiate(),
+            factor: LuFactor::default(),
             factor_stale: false,
             xb: Vec::new(),
             warm: false,
-            needs_phase1: false,
             last_costs: None,
             pivots: 0,
             stale_pivots: 0,
-            pricing: tuning.pricing,
-            dual_pricing: tuning.dual_pricing,
-            dual_ratio: tuning.dual_ratio,
-            warm_strategy: tuning.warm,
             stats: SolveStats::default(),
             xb_shifted: false,
             budget: tuning.budget,
@@ -363,13 +261,9 @@ impl SimplexCore {
     }
 
     /// Solves one problem in place: open + a single `minimize` of the
-    /// problem's own objective.  This is the dense reference path.
-    pub(crate) fn solve_problem(
-        problem: &LpProblem,
-        tuning: &SolverTuning,
-        dense: bool,
-    ) -> LpSolution {
-        let mut core = SimplexCore::open_with(problem, tuning, dense);
+    /// problem's own objective.
+    pub(crate) fn solve_problem(problem: &LpProblem, tuning: &SolverTuning) -> LpSolution {
+        let mut core = SimplexCore::open_with(problem, tuning);
         core.minimize(problem.objective())
     }
 
@@ -462,29 +356,51 @@ impl SimplexCore {
         self.init_basis.push(init_col);
 
         if self.warm {
-            self.extend_basis(row, &entries, slack, init_col, rhs);
+            self.extend_basis(row, &entries, slack.map(|(col, _)| col), init_col, rhs);
         }
     }
 
     /// Extends the warm basis with a freshly appended row.
     ///
-    /// Under [`WarmStrategy::Dual`] the new basic variable is the row's own
-    /// slack (or, for equality rows, an artificial whose coefficient sign
-    /// makes its value non-positive); a violated row simply leaves that
-    /// basic *negative*, to be repaired by dual pivots at the next solve.
-    /// Under [`WarmStrategy::Phase1`] a violated row gets an artificial
-    /// absorbing the violation and phase 1 runs at the next solve.
+    /// The new basic variable is the row's own slack (or, for equality
+    /// rows, an artificial whose coefficient sign makes its value
+    /// non-positive); a violated row leaves that basic *negative*, to be
+    /// repaired by dual pivots at the next solve.  The factorization is
+    /// marked stale: the refactorization before that solve recomputes every
+    /// basic value, however many rows arrive in between, so the new row's
+    /// value is only a placeholder here.
     fn extend_basis(
         &mut self,
         row: usize,
         entries: &BTreeMap<usize, f64>,
-        slack: Option<(usize, f64)>,
+        slack: Option<usize>,
         init_col: usize,
         rhs: f64,
     ) {
-        // Current point, per column: basic values, nonbasic-at-upper columns
-        // at their bound, everything else zero.
-        let lhs: f64 = entries
+        let basic_col = match slack {
+            Some(col) => col,
+            // Equality rows: an artificial whose sign keeps the basic value
+            // ≤ 0, so the dual pivots drive it to its bound (0) and retire
+            // it.  `init_col` (coefficient +1) serves when the residual at
+            // the current point is non-positive; a violated direction gets a
+            // fresh −1 artificial.
+            None if rhs - self.row_activity(entries) <= EPS => init_col,
+            None => {
+                let art = self.new_col(ColKind::Artificial);
+                self.cols.push_entry(art, row, -1.0);
+                art
+            }
+        };
+        self.factor_stale = true;
+        self.basis.push(basic_col);
+        self.is_basic[basic_col] = true;
+        self.xb.push(0.0);
+    }
+
+    /// A row's activity `Σ a_j·x_j` at the current point: basic values,
+    /// nonbasic-at-upper columns at their bound, everything else zero.
+    fn row_activity(&self, entries: &BTreeMap<usize, f64>) -> f64 {
+        entries
             .iter()
             .map(|(&col, &a)| {
                 if self.is_basic[col] {
@@ -496,69 +412,7 @@ impl SimplexCore {
                     0.0
                 }
             })
-            .sum();
-        let resid = rhs - lhs;
-
-        // Choose the entering basic column and its coefficient in this row.
-        let (basic_col, coeff, value) = match self.warm_strategy {
-            WarmStrategy::Dual => match slack {
-                // Slack rows: the slack is always basic; a violated row
-                // shows as a negative slack value.
-                Some((col, sc)) => (col, sc, resid / sc),
-                // Equality rows: an artificial whose sign keeps the basic
-                // value ≤ 0, so the dual pivots drive it to its bound (0)
-                // and retire it.  `init_col` (coefficient +1) serves when
-                // the residual is non-positive; a violated direction gets a
-                // fresh −1 artificial.
-                None if resid <= EPS => (init_col, 1.0, resid),
-                None => {
-                    let art = self.new_col(ColKind::Artificial);
-                    self.cols.push_entry(art, row, -1.0);
-                    (art, -1.0, -resid)
-                }
-            },
-            WarmStrategy::Phase1 => {
-                let (col, c) = match slack {
-                    Some((col, sc)) if resid / sc >= -EPS => (col, sc),
-                    _ if self.kind[init_col] == ColKind::Artificial && resid >= -EPS => {
-                        (init_col, 1.0)
-                    }
-                    _ => {
-                        // The current point violates the row in the
-                        // direction no existing column can absorb: add an
-                        // artificial of the matching sign.
-                        let sign = if resid >= 0.0 { 1.0 } else { -1.0 };
-                        let art = self.new_col(ColKind::Artificial);
-                        self.cols.push_entry(art, row, sign);
-                        (art, sign)
-                    }
-                };
-                (col, c, (resid / c).max(0.0))
-            }
-        };
-        if self.warm_strategy == WarmStrategy::Phase1
-            && self.kind[basic_col] == ColKind::Artificial
-            && value > FEAS_EPS
-        {
-            self.needs_phase1 = true;
-        }
-
-        // Border the factorization.  `w` holds the new row's coefficients at
-        // the old basic columns, by basis position.
-        let w: Vec<f64> = self
-            .basis
-            .iter()
-            .map(|&col| entries.get(&col).copied().unwrap_or(0.0))
-            .collect();
-        if self.factor.extend_row(&w, coeff).is_err() {
-            // Declined (LU, or a near-singular border pivot): the basis
-            // bookkeeping still grows and the factorization is rebuilt from
-            // pristine columns before the next solve.
-            self.factor_stale = true;
-        }
-        self.basis.push(basic_col);
-        self.is_basic[basic_col] = true;
-        self.xb.push(value);
+            .sum()
     }
 
     /// Resets the solver state to the from-scratch initial basis.
@@ -575,13 +429,12 @@ impl SimplexCore {
             self.is_basic[col] = true;
         }
         // The initial basis is one slack/artificial with coefficient +1 per
-        // row: B = I, so a refactorization is exact and cheap.
-        self.factor.refactorize(m, &self.basis, &self.cols);
+        // row: B = I.
+        self.factor.set_identity(m);
         self.factor_stale = false;
         self.xb = self.b.clone();
         self.stale_pivots = 0;
         self.xb_shifted = false;
-        self.needs_phase1 = self.kind.contains(&ColKind::Artificial);
         self.last_costs = None;
     }
 
@@ -626,9 +479,8 @@ impl SimplexCore {
         self.ws.copy_sol_into(out);
     }
 
-    /// Row `p` of `B⁻¹` (a row copy under the dense inverse, a hyper-sparse
-    /// unit-rhs btran under LU — timed as btran work), into the caller's
-    /// reusable buffer.
+    /// Row `p` of `B⁻¹` (a hyper-sparse unit-rhs btran, timed as btran
+    /// work), into the caller's reusable buffer.
     pub(crate) fn inverse_row_into(&mut self, p: usize, out: &mut Vec<f64>) {
         let t = Instant::now();
         self.factor.inverse_row_ws(p, &mut self.ws);
@@ -665,10 +517,8 @@ impl SimplexCore {
         self.at_upper[entering] = false;
         self.basis[p] = entering;
         if self.factor.update(p, d).is_ok() {
-            if self.factor.kind() == FactorKind::Lu {
-                self.stats.etas += 1;
-                self.stats.eta_len = self.stats.eta_len.max(self.factor.eta_count());
-            }
+            self.stats.etas += 1;
+            self.stats.eta_len = self.stats.eta_len.max(self.factor.eta_count());
         } else {
             // Unstable or saturated update: rebuild from pristine columns
             // before the next pivots.
@@ -762,41 +612,12 @@ impl SimplexCore {
         ban_artificials: bool,
         max_iters: usize,
     ) -> Result<(), LpStatus> {
-        let debug = std::env::var_os("CMA_LP_DEBUG").is_some();
-        let start = if debug {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        let before = self.pivots;
-        let result = self.iterate_inner(col_costs, ban_artificials, max_iters);
-        if let Some(start) = start {
-            eprintln!(
-                "[cma-lp core] phase({}) {:?} in {:.1} ms: {} rows, {} cols, {} pivots, {} etas",
-                if ban_artificials { 2 } else { 1 },
-                result,
-                start.elapsed().as_secs_f64() * 1e3,
-                self.basis.len(),
-                self.cols.num_cols(),
-                self.pivots - before,
-                self.factor.eta_count(),
-            );
-        }
-        result
-    }
-
-    fn iterate_inner(
-        &mut self,
-        col_costs: &[f64],
-        ban_artificials: bool,
-        max_iters: usize,
-    ) -> Result<(), LpStatus> {
         let bland_after = bland_fallback_threshold(self.basis.len(), self.cols.num_cols());
         // How many pivots of drift the factorization may accumulate before
         // it is recomputed from the pristine columns — both periodically and
         // before declaring optimality.
         let refresh_period = 100;
-        let mut pricer = self.pricing.pricer(self.cols.num_cols());
+        let mut pricer = DevexPricer::new(self.cols.num_cols());
         let mut degen_streak = 0usize;
         let mut shift_rounds = 0usize;
         // Dual prices are maintained incrementally (one btran per pivot) and
@@ -815,7 +636,7 @@ impl SimplexCore {
         // Zero-width columns are fixed and never enter.  Falls back to
         // Bland's first improving column in the last-resort regime.
         let pick = |state: &SimplexCore,
-                    pricer: &mut dyn crate::pricing::Pricer,
+                    pricer: &mut DevexPricer,
                     costs: &[f64],
                     y: &[f64],
                     bland: bool|
@@ -864,7 +685,7 @@ impl SimplexCore {
                 degen_streak = 0;
             }
             let t_price = Instant::now();
-            let mut entering = pick(self, pricer.as_mut(), col_costs, &y, bland);
+            let mut entering = pick(self, &mut pricer, col_costs, &y, bland);
             self.stats.pricing_ns += t_price.elapsed().as_nanos() as u64;
             if entering.is_none() {
                 // Recompute the incrementally maintained duals before
@@ -875,7 +696,7 @@ impl SimplexCore {
                 }
                 self.dual_prices_into(col_costs, &mut y);
                 let t_price = Instant::now();
-                entering = pick(self, pricer.as_mut(), col_costs, &y, bland);
+                entering = pick(self, &mut pricer, col_costs, &y, bland);
                 self.stats.pricing_ns += t_price.elapsed().as_nanos() as u64;
                 if entering.is_none() {
                     return Ok(());
@@ -962,28 +783,27 @@ impl SimplexCore {
                     scratch[j] = 0.0;
                 }
                 touched.clear();
-                let mut scattered = false;
-                if self.ws.sparse {
-                    if let Some(rows) = self.cols.rows_adjacency() {
-                        if scratch.len() < self.cols.num_cols() {
-                            scratch.resize(self.cols.num_cols(), 0.0);
+                let scattered = self.ws.sparse;
+                if scattered {
+                    if scratch.len() < self.cols.num_cols() {
+                        scratch.resize(self.cols.num_cols(), 0.0);
+                    }
+                    support.clear();
+                    support.extend_from_slice(&self.ws.pattern);
+                    support.sort_unstable();
+                    support.dedup();
+                    for &r in &support {
+                        let rr = rho[r];
+                        if rr == 0.0 {
+                            continue;
                         }
-                        support.clear();
-                        support.extend_from_slice(&self.ws.pattern);
-                        support.sort_unstable();
-                        support.dedup();
-                        for &r in &support {
-                            let rr = rho[r];
-                            if rr == 0.0 {
-                                continue;
-                            }
-                            let Some(adj) = rows.get(r) else { continue };
-                            for &(j, a) in adj {
-                                scratch[j as usize] += a * rr;
-                                touched.push(j as usize);
-                            }
+                        let Some(adj) = self.cols.rows.get(r) else {
+                            continue;
+                        };
+                        for &(j, a) in adj {
+                            scratch[j as usize] += a * rr;
+                            touched.push(j as usize);
                         }
-                        scattered = true;
                     }
                 }
                 let cols = &self.cols;
@@ -1218,13 +1038,13 @@ impl SimplexCore {
     /// in either direction makes them leaving candidates, so an equality row
     /// appended warm is enforced the moment its artificial reaches zero.
     ///
-    /// The leaving row is priced by `viol²/γ` with steepest-edge (or devex)
-    /// reference weights `γ` — on the totally degenerate systems the
-    /// analysis produces, naive row choice repairs the same rows hundreds of
-    /// times over.  The ratio test is, by default, the **bound-flipping**
-    /// (long-step) variant: finite-width nonbasic columns whose reduced cost
-    /// would change sign before the chosen breakpoint are flipped to their
-    /// other bound in one batch instead of each costing a full pivot.
+    /// The leaving row is priced by `viol²/γ` with devex reference weights
+    /// `γ` — on the totally degenerate systems the analysis produces, naive
+    /// row choice repairs the same rows hundreds of times over.  The ratio
+    /// test is the **bound-flipping** (long-step) variant: finite-width
+    /// nonbasic columns whose reduced cost would change sign before the
+    /// chosen breakpoint are flipped to their other bound in one batch
+    /// instead of each costing a full pivot.
     fn dual_restore(&mut self, max_iters: usize) -> DualOutcome {
         let Some(costs) = self.last_costs.clone() else {
             return DualOutcome::GaveUp;
@@ -1255,60 +1075,16 @@ impl SimplexCore {
         }
 
         let m = self.basis.len();
-        let steepest = self.dual_pricing == DualPricing::Steepest;
-        // Reference weights: γ_i tracks the squared norm of row i of B⁻¹.
-        // Steepest edge pays m btrans up front for the *exact* norms — the
-        // Forrest–Goldfarb recurrence is only as good as its starting point
-        // (seeding it with 1s makes the weights drift arbitrarily far from
-        // the truth within a few degenerate pivots).  Devex starts from the
-        // classic all-ones reference frame and stays approximate.
+        // Devex reference weights: γ_i approximates the squared norm of row
+        // i of B⁻¹, starting from the all-ones reference frame.  (Exact
+        // steepest-edge norms, seeded by m btrans, buy no fewer pivots on the
+        // chain systems — DESIGN.md §3.1.)
         let mut gamma = vec![1.0f64; m];
-        if steepest {
-            let t = Instant::now();
-            let threads = rayon::current_num_threads().clamp(1, 8);
-            if m >= PAR_SEED_MIN_ROWS && threads > 1 {
-                // The m seeding btrans are independent row solves: fan them
-                // out over the persistent worker pool, one private
-                // workspace per chunk (hyper/fallback counts are carried
-                // back per chunk; workspace sizing does not count as a
-                // hot-loop allocation).
-                let chunk = m.div_ceil(threads);
-                let factor: &dyn Factorization = &*self.factor;
-                let mut chunk_counters = vec![(0u64, 0u64); m.div_ceil(chunk)];
-                rayon::scope(|s| {
-                    for ((ci, g), ctr) in gamma
-                        .chunks_mut(chunk)
-                        .enumerate()
-                        .zip(chunk_counters.iter_mut())
-                    {
-                        s.spawn(move || {
-                            let mut ws = KernelWs::default();
-                            for (k, gi) in g.iter_mut().enumerate() {
-                                factor.inverse_row_ws(ci * chunk + k, &mut ws);
-                                *gi = ws.sol_norm_sq().max(1e-10);
-                            }
-                            *ctr = (ws.hyper_btrans, ws.dense_fallbacks);
-                        });
-                    }
-                });
-                for (hb, df) in chunk_counters {
-                    self.stats.hyper_sparse_btrans += hb;
-                    self.stats.dense_fallbacks += df;
-                }
-            } else {
-                for (i, g) in gamma.iter_mut().enumerate() {
-                    self.factor.inverse_row_ws(i, &mut self.ws);
-                    *g = self.ws.sol_norm_sq().max(1e-10);
-                }
-            }
-            self.stats.btran_ns += t.elapsed().as_nanos() as u64;
-        }
 
         // Hot-loop scratch: allocated (at most) once per restoration,
         // written in place by the workspace kernels each pivot.
         let mut rho: Vec<f64> = Vec::new();
         let mut d: Vec<f64> = Vec::new();
-        let mut tau: Vec<f64> = Vec::new();
         let mut bps: Vec<(f64, usize, f64)> = Vec::new(); // (ratio, j, |α|)
         let mut flips: Vec<usize> = Vec::new();
 
@@ -1385,7 +1161,7 @@ impl SimplexCore {
                 bland_pick
             } else if bps.is_empty() {
                 None
-            } else if self.dual_ratio == DualRatio::BoundFlip {
+            } else {
                 // Long step: pass breakpoints while the dual objective's
                 // slope (the remaining primal violation) stays positive;
                 // every passed finite-width column flips instead of
@@ -1418,20 +1194,6 @@ impl SimplexCore {
                     flips.clear();
                 }
                 chosen
-            } else {
-                // Legacy single-breakpoint test: min ratio, |α| tie-break
-                // for stability.
-                let mut best: Option<(usize, f64, f64)> = None; // (j, ratio, |α|)
-                for &(ratio, j, aabs) in &bps {
-                    let better = match best {
-                        None => true,
-                        Some((_, br, ba)) => ratio < br - EPS || (ratio < br + EPS && aabs > ba),
-                    };
-                    if better {
-                        best = Some((j, ratio, aabs));
-                    }
-                }
-                best.map(|(j, _, _)| j)
             };
             self.stats.ratio_ns += t_ratio.elapsed().as_nanos() as u64;
             let Some(q) = selected else {
@@ -1494,44 +1256,22 @@ impl SimplexCore {
             let leave_at_upper = !from_below
                 && self.kind[leaving_col] != ColKind::Artificial
                 && self.up[leaving_col].is_finite();
-            // Steepest-edge needs τ = B⁻¹ρ_p against the *pre-pivot* basis.
-            if steepest {
-                self.ws.load_dense(&rho);
-                let t = Instant::now();
-                self.factor.ftran_ws(&mut self.ws);
-                self.stats.ftran_ns += t.elapsed().as_nanos() as u64;
-                self.ws.copy_sol_into(&mut tau);
-            }
             self.pivot_bounded(p, q, &d, enter_from, delta, leave_at_upper);
             self.stats.iterations += 1;
             self.stats.dual_pivots += 1;
             self.budget_iters += 1;
 
-            // Reference-weight recurrences for the next leaving choice.
+            // Devex weight update for the next leaving choice: the cheap
+            // monotone approximation of the row norms — no extra ftran.
             let gamma_p = gamma[p];
-            if steepest {
-                // Exact steepest edge (Forrest–Goldfarb): γ_p' = γ_p/α_p²,
-                // γ_i' = γ_i − 2(α_i/α_p)τ_i + (α_i/α_p)²γ_p.
-                for i in 0..m {
-                    if i == p {
-                        continue;
-                    }
-                    let r = d[i] / dp;
-                    gamma[i] = (gamma[i] - 2.0 * r * tau[i] + r * r * gamma_p).max(1e-10);
+            for i in 0..m {
+                if i == p || d[i] == 0.0 {
+                    continue;
                 }
-                gamma[p] = (gamma_p / (dp * dp)).max(1e-10);
-            } else {
-                // Devex: the cheap monotone approximation of the same
-                // weights — no extra ftran.
-                for i in 0..m {
-                    if i == p || d[i] == 0.0 {
-                        continue;
-                    }
-                    let r = d[i] / dp;
-                    gamma[i] = gamma[i].max(r * r * gamma_p);
-                }
-                gamma[p] = (gamma_p / (dp * dp)).max(1.0);
+                let r = d[i] / dp;
+                gamma[i] = gamma[i].max(r * r * gamma_p);
             }
+            gamma[p] = (gamma_p / (dp * dp)).max(1.0);
 
             if self.factor_stale || self.stale_pivots >= 100 {
                 // Refresh point: rebuild the factorization and the dual
@@ -1579,8 +1319,7 @@ impl SimplexCore {
             .saturating_sub(self.compaction_base);
         // Kernel counters accumulate on the session workspace for its whole
         // lifetime; the per-solve numbers are deltas against the baseline
-        // captured when this minimize started.  (Parallel seeding adds its
-        // private-workspace counts straight into `stats`.)
+        // captured when this minimize started.
         let (hf, hb, df, ka) = self.ws.counters();
         s.hyper_sparse_ftrans += hf.saturating_sub(self.ws_base.0);
         s.hyper_sparse_btrans += hb.saturating_sub(self.ws_base.1);
@@ -1725,7 +1464,7 @@ impl LpSession for SimplexCore {
                 self.warm = false;
             }
         }
-        if self.warm && self.warm_strategy == WarmStrategy::Dual && self.has_infeasible_basics() {
+        if self.warm && self.has_infeasible_basics() {
             match self.dual_restore(max_iters) {
                 DualOutcome::Restored => {}
                 // Both the giving-up and the infeasibility verdicts restart
@@ -1742,10 +1481,8 @@ impl LpSession for SimplexCore {
         }
         if !self.warm {
             self.rebuild();
-        }
-        if self.needs_phase1 {
             match self.run_phase1(max_iters) {
-                Ok(true) => self.needs_phase1 = false,
+                Ok(true) => {}
                 Ok(false) => {
                     self.warm = false;
                     return self.infeasible();
@@ -1784,7 +1521,7 @@ impl LpSession for SimplexCore {
     }
 
     fn warm_resolves_in_place(&self) -> bool {
-        self.warm_strategy == WarmStrategy::Dual
+        true
     }
 }
 
@@ -1792,25 +1529,20 @@ impl LpSession for SimplexCore {
 mod tests {
     use super::*;
     use crate::backend::{LpBackend, SparseBackend};
-    use crate::factor::FactorKind;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
     }
 
-    /// Every (factor × warm) configuration of the core, for matrix checks.
-    fn configurations() -> Vec<SolverTuning> {
-        let mut tunings = Vec::new();
-        for factor in FactorKind::ALL {
-            for warm in [WarmStrategy::Dual, WarmStrategy::Phase1] {
-                tunings.push(SolverTuning {
-                    factor,
-                    warm,
-                    ..SolverTuning::default()
-                });
-            }
-        }
-        tunings
+    /// The production configuration with and without presolve.
+    fn configurations() -> [SolverTuning; 2] {
+        [
+            SolverTuning::default(),
+            SolverTuning {
+                presolve: false,
+                ..SolverTuning::default()
+            },
+        ]
     }
 
     #[test]
@@ -1879,14 +1611,10 @@ mod tests {
             let second = session.minimize(&[(x, -1.0), (y, -2.0)]);
             assert!(second.is_optimal(), "{tuning:?}");
             assert_close(second.objective, -5.0); // x = 3, y = 1
-            if tuning.warm == WarmStrategy::Dual {
-                assert!(
-                    second.stats.dual_pivots > 0,
-                    "dual strategy solved the cut without dual pivots: {tuning:?}"
-                );
-            } else {
-                assert_eq!(second.stats.dual_pivots, 0);
-            }
+            assert!(
+                second.stats.dual_pivots > 0,
+                "the cut was solved without dual pivots: {tuning:?}"
+            );
             // And an equality row forcing x = 2.
             session.add_constraint(&[(x, 1.0)], Cmp::Eq, 2.0);
             let third = session.minimize(&[(x, -1.0), (y, -2.0)]);
@@ -1994,23 +1722,12 @@ mod tests {
             );
         }
         lp.set_objective(vars.iter().map(|&v| (v, 1.0)).collect());
-        let dense = SparseBackend.solve_with(
-            &lp,
-            &SolverTuning {
-                factor: FactorKind::Dense,
-                ..SolverTuning::default()
-            },
-        );
-        let lu = SparseBackend.solve_with(
-            &lp,
-            &SolverTuning {
-                factor: FactorKind::Lu,
-                ..SolverTuning::default()
-            },
-        );
-        assert_eq!(dense.status, lu.status);
-        assert_close(dense.objective, lu.objective);
-        assert_eq!(dense.stats.etas, 0);
+        let lu = SparseBackend.solve(&lp);
+        // The optimum the dense-inverse factorization used to report: each
+        // `≥` row is covered by its cheaper (coefficient-2) variable,
+        // 0.5 + 1.5 + 2.5.
+        assert!(lu.is_optimal());
+        assert_close(lu.objective, 4.5);
         assert!(lu.stats.etas > 0, "LU solve recorded no eta updates");
     }
 }

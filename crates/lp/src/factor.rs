@@ -1,38 +1,28 @@
-//! Basis factorizations behind the simplex core.
+//! The basis factorization behind the simplex core.
 //!
 //! Every revised-simplex iteration needs the basis matrix `B` applied in two
 //! directions — `ftran` solves `B·d = a` (the pivot direction) and `btran`
-//! solves `Bᵀ·y = c_B` (the dual prices) — plus a cheap rank-one `update`
-//! when one basic column is replaced, and a from-scratch `refactorize` that
-//! washes out the drift the updates accumulate.  The `Factorization` trait
-//! is that seam: the `SimplexCore` iteration loop
-//! is written against it, and the concrete linear algebra is pluggable per
-//! solve through [`SolverTuning::factor`](crate::SolverTuning):
+//! solves `Bᵀ·y = c_B` (the dual prices) — plus a cheap `update` when one
+//! basic column is replaced, and a from-scratch `refactorize` that washes
+//! out the drift the updates accumulate.  `LuFactor` provides all four:
+//! a sparse LU elimination with **Markowitz ordering** (pivots chosen to
+//! minimize `(rowcount−1)·(colcount−1)` fill, under a threshold guard for
+//! stability) and **Forrest–Tomlin updates**: a basis change replaces the
+//! departing column of `U` in place with the spike `U·d`, moves its pivot
+//! step to the end of the elimination order, and eliminates the pending row
+//! into one sparse *row eta* — so `U` stays triangular and compact instead
+//! of growing an unbounded product-form eta file.  An update declines
+//! (forcing refactorization) only when the new pivot is unstable relative
+//! to the spike or the eliminated row fills beyond a threshold.  On the
+//! analysis's extremely sparse bases both solves and updates run in
+//! `O(nnz)` rather than `O(m²)`.
 //!
-//! * `DenseInverse` — the explicit dense `B⁻¹` the sparse backend carried
-//!   before the seam existed: `O(m²)` solves, `O(m²)` Gauss-Jordan pivot
-//!   updates, `O(m³)`-flavored refactorization.  Simple, and the reference
-//!   the LU path is pinned against.
-//! * `LuFactor` — a sparse LU elimination with **Markowitz ordering**
-//!   (pivots chosen to minimize `(rowcount−1)·(colcount−1)` fill, under a
-//!   threshold guard for stability) and **Forrest–Tomlin updates**: a basis
-//!   change replaces the departing column of `U` in place with the spike
-//!   `U·d`, moves its pivot step to the end of the elimination order, and
-//!   eliminates the pending row into one sparse *row eta* — so `U` stays
-//!   triangular and compact instead of growing an unbounded product-form
-//!   eta file.  An update declines (forcing refactorization) only when the
-//!   new pivot is unstable relative to the spike or the eliminated row
-//!   fills beyond a threshold.  On the analysis's extremely sparse bases
-//!   both solves and updates run in `O(nnz)` rather than `O(m²)`.
+//! Row extension (the warm `add_constraint` path) does not touch the
+//! factors: the core marks them stale and refactorizes lazily at the next
+//! solve, amortizing any number of appended rows into one rebuild.
 //!
-//! Row extension (the warm `add_constraint` path) goes through
-//! `Factorization::extend_row`: the dense inverse grows by a bordered
-//! block — guarded against a near-singular border pivot — while the LU
-//! factors decline (`FactorError::NeedsRefactorization`) and the core
-//! refactorizes lazily at the next solve.
-
-use std::fmt;
-use std::str::FromStr;
+//! The tests pin the LU kernels against an explicit dense `B⁻¹` (see the
+//! test module).
 
 use crate::core::ColumnStore;
 
@@ -61,109 +51,47 @@ const FT_STAB_TOL: f64 = 1e-8;
 /// in-place update saves over refactorizing.
 const FT_FILL_CAP: usize = 64;
 
-/// Which basis factorization a solve uses (see the [module docs](self)).
+/// The basis factorization: Markowitz LU with Forrest–Tomlin updates, the
+/// only one the solver implements.
+///
+/// Kept as a one-variant type only so the benchmark crate (`cmabench/`)
+/// can keep setting and printing it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FactorKind {
-    /// Explicit dense `B⁻¹` (the pre-seam behavior; the reference).
+    /// Markowitz-ordered sparse LU with Forrest–Tomlin updates.
     #[default]
-    Dense,
-    /// Markowitz-ordered sparse LU with product-form eta updates.
     Lu,
 }
 
 impl FactorKind {
-    /// The kind's canonical CLI/report name.
+    /// The kind's canonical report name.
     pub fn name(&self) -> &'static str {
-        match self {
-            FactorKind::Dense => "dense",
-            FactorKind::Lu => "lu",
-        }
-    }
-
-    /// All kinds, for matrix tests and sweeps.
-    pub const ALL: [FactorKind; 2] = [FactorKind::Dense, FactorKind::Lu];
-
-    /// Instantiates an empty factorization of this kind.
-    pub(crate) fn instantiate(self) -> Box<dyn Factorization> {
-        match self {
-            FactorKind::Dense => Box::new(DenseInverse::default()),
-            FactorKind::Lu => Box::new(LuFactor::default()),
-        }
-    }
-}
-
-impl fmt::Display for FactorKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for FactorKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dense" => Ok(FactorKind::Dense),
-            "lu" => Ok(FactorKind::Lu),
-            other => Err(format!(
-                "unknown factorization `{other}` (expected dense or lu)"
-            )),
-        }
+        "lu"
     }
 }
 
 /// How a warm session re-solves after incremental rows left the basis
-/// primal-infeasible.
+/// primal-infeasible: dual-simplex pivots from the (still dual-feasible)
+/// optimal basis, the only strategy the solver implements.
+///
+/// Kept as a one-variant type only so the benchmark crate (`cmabench/`)
+/// can keep printing it in its `solver` metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WarmStrategy {
-    /// Dual-simplex pivots from the (still dual-feasible) optimal basis —
-    /// a handful of pivots instead of a phase-1 restart.
+    /// Dual-simplex pivots from the warm basis — a handful of pivots
+    /// instead of a phase-1 restart.
     #[default]
     Dual,
-    /// The legacy path: violated rows get artificial columns and the next
-    /// solve runs phase 1 over them.
-    Phase1,
 }
 
-impl WarmStrategy {
-    /// The strategy's canonical name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WarmStrategy::Dual => "dual",
-            WarmStrategy::Phase1 => "phase1",
-        }
-    }
-}
-
-impl fmt::Display for WarmStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for WarmStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dual" => Ok(WarmStrategy::Dual),
-            "phase1" => Ok(WarmStrategy::Phase1),
-            other => Err(format!(
-                "unknown warm-resolve strategy `{other}` (expected dual or phase1)"
-            )),
-        }
-    }
-}
-
-/// Why a factorization operation declined; the core reacts by
-/// refactorizing from pristine columns.
+/// Why an update declined; the core reacts by refactorizing from pristine
+/// columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FactorError {
-    /// The update/border pivot is too small to apply stably (the
-    /// near-singular border guard lives here).
+    /// The update's pivot is too small to apply stably.
     UnstablePivot,
-    /// The representation cannot absorb this change in place (LU row
-    /// extension, eta-file overflow); rebuild at the next solve.
+    /// The factors cannot absorb this change in place (fill or eta-file
+    /// overflow); rebuild at the next solve.
     NeedsRefactorization,
 }
 
@@ -172,30 +100,20 @@ pub(crate) enum FactorError {
 /// bookkeeping costs more than it saves.
 const HYPER_MIN_DIM: usize = 16;
 
-/// Result-density threshold for the hyper-sparse triangular solves: a
+/// Result-density threshold `ρ` for the hyper-sparse triangular solves: a
 /// solve is attempted hyper-sparse when the right-hand side's support is
 /// at most `ρ·m` rows, and falls back to the dense scan once the live
-/// support grows past `4ρ·m`.  Overridable via `CMA_HYPER_DENSITY`
-/// (a fraction in `[0, 1]`; `0` disables the hyper-sparse paths).
-fn hyper_density() -> f64 {
-    static DENSITY: std::sync::OnceLock<f64> = std::sync::OnceLock::new();
-    *DENSITY.get_or_init(|| {
-        std::env::var("CMA_HYPER_DENSITY")
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|d| (0.0..=1.0).contains(d))
-            .unwrap_or(0.15)
-    })
-}
+/// support grows past `4ρ·m`.
+const HYPER_DENSITY: f64 = 0.15;
 
 /// Seed cap for a hyper-sparse attempt at dimension `m`.
 fn hyper_seed_cap(m: usize) -> usize {
-    (hyper_density() * m as f64) as usize
+    (HYPER_DENSITY * m as f64) as usize
 }
 
 /// Live-support cap before a hyper-sparse solve falls back to dense.
 fn hyper_live_cap(m: usize) -> usize {
-    ((4.0 * hyper_density()) * m as f64) as usize + 4
+    ((4.0 * HYPER_DENSITY) * m as f64) as usize + 4
 }
 
 /// Sift-up push into a max-heap of `(key, step)` pairs kept in a plain
@@ -245,7 +163,7 @@ fn heap_pop(heap: &mut Vec<(usize, usize)>) -> Option<(usize, usize)> {
 
 /// Caller-owned scratch for the in-place kernel API.
 ///
-/// One `KernelWs` carries everything a [`Factorization`] solve needs —
+/// One `KernelWs` carries everything an [`LuFactor`] solve needs —
 /// the right-hand side, the solution, the symbolic-DFS worklist, and
 /// epoch-tagged marks — so a solve performs **zero heap allocation**
 /// once the workspace has been sized for the basis dimension.  The
@@ -437,7 +355,8 @@ impl KernelWs {
         self.rhs_sparse = false;
     }
 
-    /// Copies the solution out as a dense `Vec` (test/cold-path helper).
+    /// Copies the solution out as a dense `Vec`.
+    #[cfg(test)]
     pub(crate) fn sol_vec(&self) -> Vec<f64> {
         self.sol[..self.dim].to_vec()
     }
@@ -447,19 +366,6 @@ impl KernelWs {
     pub(crate) fn copy_sol_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.extend_from_slice(&self.sol[..self.dim]);
-    }
-
-    /// Squared Euclidean norm of the solution, walking only the nonzero
-    /// pattern after a hyper-sparse solve.
-    pub(crate) fn sol_norm_sq(&self) -> f64 {
-        if self.sparse {
-            self.pattern
-                .iter()
-                .map(|&i| self.sol[i] * self.sol[i])
-                .sum()
-        } else {
-            self.sol[..self.dim].iter().map(|v| v * v).sum()
-        }
     }
 
     /// The lifetime solve counters `(hyper_ftrans, hyper_btrans,
@@ -472,358 +378,6 @@ impl KernelWs {
             self.dense_fallbacks,
             self.kernel_allocs,
         )
-    }
-}
-
-/// A basis factorization: everything the simplex core needs from `B`.
-///
-/// Vectors indexed "by row" run over constraint rows; vectors indexed "by
-/// position" run over basis positions `0..m` (position `k` holds basic
-/// column `basis[k]`).  Implementations must be deterministic — the same
-/// call sequence yields bitwise-identical results (a backend contract
-/// obligation) — and `Send + Sync` so sessions stay usable from the
-/// parallel batch solver and the parallel partial pricer.
-pub(crate) trait Factorization: Send + Sync {
-    /// The kind this factorization implements.
-    fn kind(&self) -> FactorKind;
-
-    /// Solves `B·x = b` **in place**: the caller loads `b` by row into
-    /// `ws` via [`KernelWs::load_dense`]/[`load_sparse`](KernelWs::load_sparse),
-    /// and on return `ws.sol` holds `x` by basis position, with
-    /// `ws.pattern` listing a superset of its nonzeros when `ws.sparse`.
-    /// The RHS is consumed (`ws.rhs` returns to all-zero).  This is the
-    /// hot-path kernel: it must not allocate once `ws` is sized.
-    fn ftran_ws(&self, ws: &mut KernelWs);
-
-    /// Solves `Bᵀ·y = c` **in place**: `c` by basis position loaded into
-    /// `ws`, `y` by row in `ws.sol` on return (same contract as
-    /// [`ftran_ws`](Self::ftran_ws)).
-    fn btran_ws(&self, ws: &mut KernelWs);
-
-    /// Row `p` of `B⁻¹` (row-indexed) into `ws.sol` — needed once per
-    /// pivot for the devex weight and dual-price updates.  The default
-    /// solves `Bᵀy = e_p`; representations that store the inverse
-    /// explicitly override it with a copy.
-    fn inverse_row_ws(&self, p: usize, ws: &mut KernelWs) {
-        ws.load_unit(p, self.dim());
-        self.btran_ws(ws);
-    }
-
-    /// Allocating convenience over [`ftran_ws`](Self::ftran_ws) for
-    /// tests and cold paths: `b` by row, result by basis position.
-    /// (The hot loop uses the workspace kernels exclusively; these
-    /// wrappers survive for the conformance matrix and bench baselines.)
-    #[allow(dead_code)]
-    fn ftran(&self, b: &[f64]) -> Vec<f64> {
-        let mut ws = KernelWs::default();
-        ws.load_dense(b);
-        ws.ensure(self.dim());
-        self.ftran_ws(&mut ws);
-        ws.dim = self.dim();
-        ws.sol_vec()
-    }
-
-    /// Allocating convenience: [`ftran`](Self::ftran) for a sparse
-    /// right-hand side given as `(row, value)` entries.
-    #[allow(dead_code)]
-    fn ftran_sparse(&self, entries: &[(usize, f64)]) -> Vec<f64> {
-        let mut ws = KernelWs::default();
-        ws.load_sparse(entries, self.dim());
-        self.ftran_ws(&mut ws);
-        ws.sol_vec()
-    }
-
-    /// Allocating convenience over [`btran_ws`](Self::btran_ws): `c` by
-    /// basis position, result by row.
-    fn btran(&self, c: &[f64]) -> Vec<f64> {
-        let mut ws = KernelWs::default();
-        ws.load_dense(c);
-        ws.ensure(self.dim());
-        self.btran_ws(&mut ws);
-        ws.dim = self.dim();
-        ws.sol_vec()
-    }
-
-    /// Allocating convenience over [`inverse_row_ws`](Self::inverse_row_ws).
-    #[allow(dead_code)]
-    fn inverse_row(&self, p: usize) -> Vec<f64> {
-        let mut ws = KernelWs::default();
-        self.inverse_row_ws(p, &mut ws);
-        ws.sol_vec()
-    }
-
-    /// Current dimension `m`.
-    fn dim(&self) -> usize;
-
-    /// Replaces the basic column at position `p`; `d = B⁻¹A_q` is the
-    /// ftran'd entering column.  On `Err` the factorization is unchanged
-    /// and the caller must refactorize before the next solve.
-    fn update(&mut self, p: usize, d: &[f64]) -> Result<(), FactorError>;
-
-    /// Borders the factorization with a new row: `w` holds the row's
-    /// coefficients at the old basic columns (by position) and `c` the
-    /// coefficient of the new row's own basic column.  On `Err` the
-    /// caller grows the basis bookkeeping anyway and refactorizes lazily.
-    fn extend_row(&mut self, w: &[f64], c: f64) -> Result<(), FactorError>;
-
-    /// Rebuilds from the pristine basis columns; returns `false` (leaving
-    /// the previous factorization in place) when the basis is numerically
-    /// singular.
-    fn refactorize(&mut self, m: usize, basis: &[usize], cols: &ColumnStore) -> bool;
-
-    /// Live eta vectors accumulated since the last refactorization
-    /// (0 for representations without an eta file).
-    fn eta_count(&self) -> usize {
-        0
-    }
-
-    /// Cumulative count of `U` entries retired in place by Forrest–Tomlin
-    /// column replacements over the factorization's lifetime — the growth a
-    /// product-form eta file would have accumulated instead (0 for
-    /// representations without in-place compaction).  Monotone; the core
-    /// reads deltas into [`SolveStats::eta_compactions`](crate::SolveStats).
-    fn compactions(&self) -> usize {
-        0
-    }
-}
-
-/// The explicit dense basis inverse (see the [module docs](self)).
-///
-/// `B⁻¹` is stored **flat row-major** — `flat[k*m + r]` is entry
-/// `(position k, row r)` — so every kernel below is a unit-stride loop
-/// over a contiguous panel that the autovectorizer turns into SIMD, and
-/// the rank-one update's row operations run via `split_at_mut` without
-/// cloning the pivot row.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DenseInverse {
-    m: usize,
-    /// `flat[k*m + r]`: row `k` maps basis position `k`, column `r` maps
-    /// constraint row `r`.
-    flat: Vec<f64>,
-}
-
-impl DenseInverse {
-    #[inline]
-    fn row(&self, k: usize) -> &[f64] {
-        &self.flat[k * self.m..(k + 1) * self.m]
-    }
-}
-
-/// Rows accumulated per pass in the blocked dense btran: four basis
-/// rows stream through one pass over `y`, quartering the store traffic.
-const DENSE_BLOCK: usize = 4;
-
-impl Factorization for DenseInverse {
-    fn kind(&self) -> FactorKind {
-        FactorKind::Dense
-    }
-
-    fn dim(&self) -> usize {
-        self.m
-    }
-
-    fn inverse_row(&self, p: usize) -> Vec<f64> {
-        self.row(p).to_vec()
-    }
-
-    fn inverse_row_ws(&self, p: usize, ws: &mut KernelWs) {
-        ws.begin(self.m);
-        ws.sol[..self.m].copy_from_slice(self.row(p));
-        ws.sparse = false;
-    }
-
-    fn ftran_ws(&self, ws: &mut KernelWs) {
-        let m = self.m;
-        ws.begin(m);
-        // x_k = row_k · b: contiguous dots.  With a narrow RHS support
-        // the dot collapses to the product form over the entries.
-        let narrow = ws.rhs_sparse && ws.rhs_pattern.len() * 4 < m;
-        if narrow {
-            for k in 0..m {
-                let row = &self.flat[k * m..(k + 1) * m];
-                let mut s = 0.0;
-                for idx in 0..ws.rhs_pattern.len() {
-                    let r = ws.rhs_pattern[idx];
-                    s += row[r] * ws.rhs[r];
-                }
-                ws.sol[k] = s;
-            }
-        } else {
-            for k in 0..m {
-                let row = &self.flat[k * m..(k + 1) * m];
-                ws.sol[k] = row.iter().zip(&ws.rhs[..m]).map(|(x, b)| x * b).sum();
-            }
-        }
-        ws.sparse = false;
-        ws.consume_rhs(!narrow);
-    }
-
-    fn btran_ws(&self, ws: &mut KernelWs) {
-        let m = self.m;
-        ws.begin(m);
-        // y += c_k · row_k over nonzero c_k, blocked DENSE_BLOCK rows per
-        // pass so `y` is loaded and stored once per block.
-        let was_sparse = ws.rhs_sparse;
-        if !was_sparse {
-            ws.touched.clear();
-            for k in 0..m {
-                if ws.rhs[k] != 0.0 {
-                    ws.touched.push(k);
-                }
-            }
-        }
-        {
-            let nz: &[usize] = if was_sparse {
-                &ws.rhs_pattern
-            } else {
-                &ws.touched
-            };
-            let rhs = &ws.rhs;
-            let sol = &mut ws.sol;
-            let mut b = 0;
-            while b < nz.len() {
-                let chunk = &nz[b..(b + DENSE_BLOCK).min(nz.len())];
-                match *chunk {
-                    [k0, k1, k2, k3] => {
-                        let (c0, c1, c2, c3) = (rhs[k0], rhs[k1], rhs[k2], rhs[k3]);
-                        let (r0, r1) = (self.row(k0), self.row(k1));
-                        let (r2, r3) = (self.row(k2), self.row(k3));
-                        for r in 0..m {
-                            sol[r] += c0 * r0[r] + c1 * r1[r] + c2 * r2[r] + c3 * r3[r];
-                        }
-                    }
-                    _ => {
-                        for &k in chunk {
-                            let ck = rhs[k];
-                            for (yr, br) in sol[..m].iter_mut().zip(self.row(k)) {
-                                *yr += ck * br;
-                            }
-                        }
-                    }
-                }
-                b += DENSE_BLOCK;
-            }
-        }
-        ws.sparse = false;
-        ws.consume_rhs(!was_sparse);
-    }
-
-    fn update(&mut self, p: usize, d: &[f64]) -> Result<(), FactorError> {
-        let m = self.m;
-        let dp = d[p];
-        if dp.abs() < PIVOT_EPS {
-            return Err(FactorError::UnstablePivot);
-        }
-        for x in &mut self.flat[p * m..(p + 1) * m] {
-            *x /= dp;
-        }
-        // Row operations against the pivot row via disjoint flat slices —
-        // no clone, every axpy contiguous.
-        for i in 0..m {
-            if i == p || d[i].abs() <= 1e-12 {
-                continue;
-            }
-            let factor = d[i];
-            let hi = i.max(p);
-            let (head, tail) = self.flat.split_at_mut(hi * m);
-            let (row_i, row_p) = if i > p {
-                (&mut tail[..m], &head[p * m..(p + 1) * m])
-            } else {
-                (&mut head[i * m..(i + 1) * m][..], &tail[..m])
-            };
-            for (x, pr) in row_i.iter_mut().zip(row_p) {
-                *x -= factor * pr;
-            }
-        }
-        Ok(())
-    }
-
-    fn extend_row(&mut self, w: &[f64], c: f64) -> Result<(), FactorError> {
-        // Near-singular border guard: a border pivot this small would
-        // poison B⁻¹ with huge entries; decline and let the core rebuild
-        // from pristine columns instead.
-        if c.abs() < PIVOT_EPS || !c.is_finite() {
-            return Err(FactorError::UnstablePivot);
-        }
-        // With M = [[B, 0], [w, c]] the inverse is
-        // [[B⁻¹, 0], [-(w·B⁻¹)/c, 1/c]].  Cold path: reshape to the
-        // (m+1)-stride layout in one fresh buffer.
-        let m = self.m;
-        let wb = self.btran(w);
-        let stride = m + 1;
-        let mut flat = vec![0.0; stride * stride];
-        for k in 0..m {
-            flat[k * stride..k * stride + m].copy_from_slice(self.row(k));
-        }
-        for (r, &x) in wb.iter().enumerate() {
-            flat[m * stride + r] = -x / c;
-        }
-        flat[m * stride + m] = 1.0 / c;
-        self.m = stride;
-        self.flat = flat;
-        Ok(())
-    }
-
-    fn refactorize(&mut self, m: usize, basis: &[usize], cols: &ColumnStore) -> bool {
-        let stride = 2 * m;
-        // Augmented [B | I], one flat allocation for cache-friendly sweeps.
-        let mut work = vec![0.0; m * stride];
-        for i in 0..m {
-            work[i * stride + m + i] = 1.0;
-        }
-        for (k, &col) in basis.iter().enumerate() {
-            cols.for_each(col, &mut |r, a| {
-                work[r * stride + k] = a;
-            });
-        }
-        for k in 0..m {
-            let pivot_row = (k..m).max_by(|&a, &b| {
-                work[a * stride + k]
-                    .abs()
-                    .partial_cmp(&work[b * stride + k].abs())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let Some(r) = pivot_row else { return m == 0 };
-            if work[r * stride + k].abs() < SINGULAR_TOL {
-                return false;
-            }
-            if r != k {
-                for j in 0..stride {
-                    work.swap(k * stride + j, r * stride + j);
-                }
-            }
-            let pivot = work[k * stride + k];
-            for x in &mut work[k * stride..(k + 1) * stride] {
-                *x /= pivot;
-            }
-            for i in 0..m {
-                if i != k {
-                    let factor = work[i * stride + k];
-                    if factor != 0.0 {
-                        let (head, tail) = work.split_at_mut(k.max(i) * stride);
-                        let (row_i, row_k) = if i > k {
-                            (&mut tail[..stride], &head[k * stride..(k + 1) * stride])
-                        } else {
-                            (&mut head[i * stride..(i + 1) * stride][..], &tail[..stride])
-                        };
-                        // Skip the already-eliminated prefix: columns < k of
-                        // row k are zero.
-                        for (x, rk) in row_i[k..].iter_mut().zip(&row_k[k..]) {
-                            *x -= factor * rk;
-                        }
-                    }
-                }
-            }
-        }
-        // B X = I solved column-wise: position k's row of the inverse is row
-        // k of the right half, copied into the flat row-major layout.
-        let mut flat = vec![0.0; m * m];
-        for k in 0..m {
-            flat[k * m..(k + 1) * m].copy_from_slice(&work[k * stride + m..(k + 1) * stride]);
-        }
-        self.m = m;
-        self.flat = flat;
-        true
     }
 }
 
@@ -850,7 +404,7 @@ struct RowEta {
 ///
 /// The **L part is immutable** between refactorizations and is always
 /// applied in original step order.  The **U part is mutable**: a
-/// Forrest–Tomlin [`update`](Factorization::update) replaces one column of
+/// Forrest–Tomlin [`update`](LuFactor::update) replaces one column of
 /// `U` in place and moves its step to the end of [`order`](Self::order),
 /// appending one [`RowEta`] that keeps `U` triangular *with respect to that
 /// order*.  The factored operator is therefore
@@ -886,20 +440,23 @@ pub(crate) struct LuFactor {
     /// Forrest–Tomlin row etas, in creation order.
     row_etas: Vec<RowEta>,
     /// Lifetime count of `U` entries retired by updates (see
-    /// [`Factorization::compactions`]).
+    /// [`LuFactor::compactions`]).
     compactions: usize,
 }
 
-impl Factorization for LuFactor {
-    fn kind(&self) -> FactorKind {
-        FactorKind::Lu
-    }
-
-    fn dim(&self) -> usize {
-        self.m
-    }
-
-    fn ftran_ws(&self, ws: &mut KernelWs) {
+/// Vectors indexed "by row" run over constraint rows; vectors indexed "by
+/// position" run over basis positions `0..m` (position `k` holds basic
+/// column `basis[k]`).  Every operation is deterministic — the same call
+/// sequence yields bitwise-identical results (a backend contract
+/// obligation).
+impl LuFactor {
+    /// Solves `B·x = b` **in place**: the caller loads `b` by row into
+    /// `ws` via [`KernelWs::load_dense`]/[`load_sparse`](KernelWs::load_sparse),
+    /// and on return `ws.sol` holds `x` by basis position, with
+    /// `ws.pattern` listing a superset of its nonzeros when `ws.sparse`.
+    /// The RHS is consumed (`ws.rhs` returns to all-zero).  This is the
+    /// hot-path kernel: it must not allocate once `ws` is sized.
+    pub(crate) fn ftran_ws(&self, ws: &mut KernelWs) {
         let m = self.m;
         ws.begin(m);
         let attempt = ws.rhs_sparse
@@ -1050,7 +607,10 @@ impl Factorization for LuFactor {
         ws.consume_rhs(v_dense);
     }
 
-    fn btran_ws(&self, ws: &mut KernelWs) {
+    /// Solves `Bᵀ·y = c` **in place**: `c` by basis position loaded into
+    /// `ws`, `y` by row in `ws.sol` on return (same contract as
+    /// [`ftran_ws`](Self::ftran_ws)).
+    pub(crate) fn btran_ws(&self, ws: &mut KernelWs) {
         let m = self.m;
         ws.begin(m);
         let attempt = ws.rhs_sparse
@@ -1202,7 +762,18 @@ impl Factorization for LuFactor {
         }
     }
 
-    fn update(&mut self, p: usize, d: &[f64]) -> Result<(), FactorError> {
+    /// Row `p` of `B⁻¹` (row-indexed) into `ws.sol` — needed once per
+    /// pivot for the devex weight and dual-price updates: solves
+    /// `Bᵀy = e_p`.
+    pub(crate) fn inverse_row_ws(&self, p: usize, ws: &mut KernelWs) {
+        ws.load_unit(p, self.m);
+        self.btran_ws(ws);
+    }
+
+    /// Replaces the basic column at position `p`; `d = B⁻¹A_q` is the
+    /// ftran'd entering column.  On `Err` the factorization is unchanged
+    /// and the caller must refactorize before the next solve.
+    pub(crate) fn update(&mut self, p: usize, d: &[f64]) -> Result<(), FactorError> {
         let dp = d[p];
         if dp.abs() < PIVOT_EPS || !dp.is_finite() {
             return Err(FactorError::UnstablePivot);
@@ -1316,15 +887,41 @@ impl Factorization for LuFactor {
         Ok(())
     }
 
-    fn extend_row(&mut self, _w: &[f64], _c: f64) -> Result<(), FactorError> {
-        // Growing the LU in place is not worth its complexity: the core
-        // keeps the basic values current itself and refactorizes lazily at
-        // the next solve, amortizing any number of appended rows into one
-        // rebuild.
-        Err(FactorError::NeedsRefactorization)
+    /// Resets to the factorization of the identity basis — exactly what
+    /// [`refactorize`](Self::refactorize) builds for `B = I` (step `t`
+    /// pivots on row and position `t`, no L or U entries) without the
+    /// Markowitz working set.  The core's from-scratch initial basis is
+    /// always the identity.
+    pub(crate) fn set_identity(&mut self, m: usize) {
+        self.m = m;
+        for v in [
+            &mut self.pivot_row,
+            &mut self.pivot_col,
+            &mut self.order,
+            &mut self.order_pos,
+            &mut self.col_step,
+            &mut self.row_step,
+        ] {
+            v.clear();
+            v.extend(0..m);
+        }
+        self.upivot.clear();
+        self.upivot.resize(m, 1.0);
+        for v in [&mut self.lower, &mut self.upper] {
+            v.clear();
+            v.resize_with(m, Vec::new);
+        }
+        for v in [&mut self.ltrans, &mut self.utrans] {
+            v.clear();
+            v.resize_with(m, Vec::new);
+        }
+        self.row_etas.clear();
     }
 
-    fn refactorize(&mut self, m: usize, basis: &[usize], cols: &ColumnStore) -> bool {
+    /// Rebuilds from the pristine basis columns; returns `false` (leaving
+    /// the previous factorization in place) when the basis is numerically
+    /// singular.
+    pub(crate) fn refactorize(&mut self, m: usize, basis: &[usize], cols: &ColumnStore) -> bool {
         use std::collections::{BTreeMap, BTreeSet};
 
         // Active working matrix, column-major with a row→columns index so
@@ -1460,11 +1057,16 @@ impl Factorization for LuFactor {
         true
     }
 
-    fn eta_count(&self) -> usize {
+    /// Live row etas accumulated since the last refactorization.
+    pub(crate) fn eta_count(&self) -> usize {
         self.row_etas.len()
     }
 
-    fn compactions(&self) -> usize {
+    /// Cumulative count of `U` entries retired in place by Forrest–Tomlin
+    /// column replacements over the factorization's lifetime — the growth a
+    /// product-form eta file would have accumulated instead.  Monotone; the
+    /// core reads deltas into [`SolveStats::eta_compactions`](crate::SolveStats).
+    pub(crate) fn compactions(&self) -> usize {
         self.compactions
     }
 }
@@ -1473,10 +1075,138 @@ impl Factorization for LuFactor {
 mod tests {
     use super::*;
 
+    /// Allocating conveniences over the workspace kernels, for tests.
+    impl LuFactor {
+        fn dim(&self) -> usize {
+            self.m
+        }
+
+        fn ftran(&self, b: &[f64]) -> Vec<f64> {
+            let mut ws = KernelWs::default();
+            ws.load_dense(b);
+            ws.ensure(self.dim());
+            self.ftran_ws(&mut ws);
+            ws.dim = self.dim();
+            ws.sol_vec()
+        }
+
+        fn ftran_sparse(&self, entries: &[(usize, f64)]) -> Vec<f64> {
+            let mut ws = KernelWs::default();
+            ws.load_sparse(entries, self.dim());
+            self.ftran_ws(&mut ws);
+            ws.sol_vec()
+        }
+
+        fn btran(&self, c: &[f64]) -> Vec<f64> {
+            let mut ws = KernelWs::default();
+            ws.load_dense(c);
+            ws.ensure(self.dim());
+            self.btran_ws(&mut ws);
+            ws.dim = self.dim();
+            ws.sol_vec()
+        }
+    }
+
+    /// The explicit dense basis inverse — the oracle the LU kernels are
+    /// pinned against.  `inv[k][r]` is entry (basis position `k`,
+    /// constraint row `r`) of `B⁻¹`; every solve is a plain `O(m²)` loop.
+    #[derive(Default)]
+    struct DenseInverse {
+        inv: Vec<Vec<f64>>,
+    }
+
+    impl DenseInverse {
+        /// Gauss–Jordan with partial pivoting on `[B | I]`; `false` when
+        /// the basis is numerically singular.
+        fn refactorize(&mut self, m: usize, basis: &[usize], cols: &ColumnStore) -> bool {
+            let mut work = vec![vec![0.0; 2 * m]; m];
+            for (i, row) in work.iter_mut().enumerate() {
+                row[m + i] = 1.0;
+            }
+            for (k, &col) in basis.iter().enumerate() {
+                cols.for_each(col, &mut |r, a| work[r][k] = a);
+            }
+            for k in 0..m {
+                let r = (k..m)
+                    .max_by(|&a, &b| work[a][k].abs().total_cmp(&work[b][k].abs()))
+                    .expect("k < m");
+                if work[r][k].abs() < SINGULAR_TOL {
+                    return false;
+                }
+                work.swap(k, r);
+                let pivot = work[k][k];
+                for x in &mut work[k] {
+                    *x /= pivot;
+                }
+                let pivot_row = work[k].clone();
+                for (i, row) in work.iter_mut().enumerate() {
+                    let factor = row[k];
+                    if i != k && factor != 0.0 {
+                        for (x, p) in row.iter_mut().zip(&pivot_row) {
+                            *x -= factor * p;
+                        }
+                    }
+                }
+            }
+            self.inv = work.into_iter().map(|row| row[m..].to_vec()).collect();
+            true
+        }
+
+        fn ftran(&self, b: &[f64]) -> Vec<f64> {
+            self.inv
+                .iter()
+                .map(|row| row.iter().zip(b).map(|(x, y)| x * y).sum())
+                .collect()
+        }
+
+        fn ftran_sparse(&self, entries: &[(usize, f64)]) -> Vec<f64> {
+            let mut b = vec![0.0; self.inv.len()];
+            for &(r, a) in entries {
+                b[r] += a;
+            }
+            self.ftran(&b)
+        }
+
+        fn btran(&self, c: &[f64]) -> Vec<f64> {
+            let mut y = vec![0.0; self.inv.len()];
+            for (row, &ck) in self.inv.iter().zip(c) {
+                for (yr, x) in y.iter_mut().zip(row) {
+                    *yr += ck * x;
+                }
+            }
+            y
+        }
+
+        fn inverse_row(&self, p: usize) -> Vec<f64> {
+            self.inv[p].clone()
+        }
+
+        /// The product-form rank-one update for entering direction `d` at
+        /// position `p`.
+        fn update(&mut self, p: usize, d: &[f64]) -> Result<(), FactorError> {
+            let dp = d[p];
+            if dp.abs() < PIVOT_EPS {
+                return Err(FactorError::UnstablePivot);
+            }
+            for x in &mut self.inv[p] {
+                *x /= dp;
+            }
+            let pivot_row = self.inv[p].clone();
+            for (i, row) in self.inv.iter_mut().enumerate() {
+                if i != p && d[i] != 0.0 {
+                    for (x, pr) in row.iter_mut().zip(&pivot_row) {
+                        *x -= d[i] * pr;
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
     /// Builds a ColumnStore holding the columns of a small matrix given
     /// column-major.
     fn store_from(columns: &[&[(usize, f64)]]) -> ColumnStore {
-        let mut cols = ColumnStore::new(false);
+        let mut cols = ColumnStore::default();
         for entries in columns {
             let j = cols.push_col();
             for &(r, v) in *entries {
@@ -1606,7 +1336,7 @@ mod tests {
             // Base columns B_k = (2+a)·e_k + b·e_{k+1 mod m}; spare pool of
             // 12 columns with the same shape shifted, so every replacement
             // keeps the basis comfortably nonsingular.
-            let mut cols = ColumnStore::new(false);
+            let mut cols = ColumnStore::default();
             for k in 0..m {
                 let (a, b) = off[k % off.len()];
                 let j = cols.push_col();
@@ -1666,6 +1396,32 @@ mod tests {
         }
     }
 
+    /// The identity shortcut builds exactly the factors the Markowitz
+    /// elimination builds for `B = I`, even over a used factorization.
+    #[test]
+    fn set_identity_matches_refactorize_of_the_identity() {
+        let m = 5;
+        let (cols, basis) = circulant(m);
+        let mut reused = LuFactor::default();
+        assert!(reused.refactorize(m, &basis, &cols));
+        let mut a = vec![0.0; m];
+        cols.for_each(m, &mut |r, v| a[r] += v);
+        let d = reused.ftran(&a);
+        reused.update(0, &d).unwrap();
+        reused.set_identity(m);
+
+        let mut unit = ColumnStore::default();
+        for k in 0..m {
+            let j = unit.push_col();
+            unit.push_entry(j, k, 1.0);
+        }
+        let mut reference = LuFactor::default();
+        assert!(reference.refactorize(m, &(0..m).collect::<Vec<_>>(), &unit));
+        // Compare every field but the lifetime counter.
+        reused.compactions = 0;
+        assert_eq!(format!("{reused:?}"), format!("{reference:?}"));
+    }
+
     /// A declined update must leave the factorization fully usable.
     #[test]
     fn ft_decline_leaves_factorization_intact() {
@@ -1699,24 +1455,10 @@ mod tests {
         assert!(!lu.refactorize(2, &[0, 1], &cols));
     }
 
-    #[test]
-    fn dense_border_guard_declines_tiny_pivots() {
-        let cols = store_from(&[&[(0, 1.0)]]);
-        let mut dense = DenseInverse::default();
-        assert!(dense.refactorize(1, &[0], &cols));
-        assert_eq!(
-            dense.extend_row(&[1.0], 1e-12),
-            Err(FactorError::UnstablePivot)
-        );
-        // A healthy border is accepted and grows the dimension.
-        assert!(dense.extend_row(&[1.0], 1.0).is_ok());
-        assert_eq!(dense.ftran(&[1.0, 0.0]).len(), 2);
-    }
-
     /// Builds the banded circulant basis `B_k = a·e_k + b·e_{k+1 mod m}`
     /// at a dimension large enough to engage the hyper-sparse paths.
     fn circulant(m: usize) -> (ColumnStore, Vec<usize>) {
-        let mut cols = ColumnStore::new(false);
+        let mut cols = ColumnStore::default();
         for k in 0..m {
             let j = cols.push_col();
             cols.push_entry(j, k, 2.0 + 0.01 * k as f64);
@@ -1910,30 +1652,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn kinds_round_trip_and_lu_declines_row_extension() {
-        for kind in FactorKind::ALL {
-            assert_eq!(kind.name().parse::<FactorKind>().unwrap(), kind);
-            assert_eq!(kind.to_string(), kind.name());
-        }
-        assert!("cholesky".parse::<FactorKind>().is_err());
-        assert_eq!(FactorKind::default(), FactorKind::Dense);
-        assert_eq!("dual".parse::<WarmStrategy>().unwrap(), WarmStrategy::Dual);
-        assert_eq!(
-            "phase1".parse::<WarmStrategy>().unwrap(),
-            WarmStrategy::Phase1
-        );
-        assert!("warm".parse::<WarmStrategy>().is_err());
-        assert_eq!(WarmStrategy::default().to_string(), "dual");
-
-        let mut lu = LuFactor::default();
-        let cols = store_from(&[&[(0, 1.0)]]);
-        assert!(lu.refactorize(1, &[0], &cols));
-        assert_eq!(
-            lu.extend_row(&[0.0], 1.0),
-            Err(FactorError::NeedsRefactorization)
-        );
     }
 }

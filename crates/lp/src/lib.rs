@@ -2,29 +2,25 @@
 //!
 //! The template-based inference of the central-moment analysis reduces bound
 //! derivation to linear programming (§3.4 of the paper).  The paper's artifact
-//! used Gurobi; this crate provides the substitute: two-phase primal simplex
-//! solvers over `f64` with a pluggable pricing core.
+//! used Gurobi; this crate provides the substitute: one sparse revised
+//! simplex over `f64`.
 //!
-//! Solvers are pluggable and session-based: the [`LpBackend`] trait (see
-//! [`backend`] and `DESIGN.md` for the contract) decouples problem
-//! construction from solving, and [`LpBackend::open`] yields an [`LpSession`]
-//! that supports repeated `minimize` calls, incremental row/column addition,
-//! and batch solving of independent problems.  Both shipped backends —
-//! [`SimplexBackend`], the dense reference, and [`SparseBackend`], whose
-//! sessions keep their state warm between solves — are configurations of
-//! **one shared simplex core** (`core`), parameterized by matrix
-//! representation and by basis factorization ([`factor`]: explicit dense
-//! `B⁻¹`, or Markowitz LU with eta-file updates via [`FactorKind::Lu`]).
-//!
-//! The pivoting core is shared machinery ([`pricing`], [`SolverTuning`]):
-//! Dantzig, **devex** (the default), and sectioned/parallel **partial**
-//! pricing behind one [`PricingRule`] knob, a presolve pass that shrinks
-//! each system before it is solved, the Harris two-pass ratio test with a
-//! bounded anti-degeneracy perturbation, Bland's rule demoted to a
-//! size-scaled last resort ([`bland_fallback_threshold`]), and a
-//! **dual-simplex warm re-solve** ([`WarmStrategy`]) that repairs a session
-//! after incremental rows with a handful of dual pivots instead of a
+//! Solving is session-based: the [`LpBackend`] trait (see [`backend`] and
+//! `DESIGN.md` for the contract) decouples problem construction from
+//! solving, and [`LpBackend::open`] yields an [`LpSession`] that supports
+//! repeated `minimize` calls, incremental row/column addition, and batch
+//! solving of independent problems.  The shipped backend, [`SparseBackend`],
+//! runs **one solver path**: a presolve pass that shrinks each system before
+//! it is solved, a revised simplex over sparse columns with the Markowitz LU
+//! factorization and Forrest–Tomlin updates ([`factor`]), **devex** pricing
+//! ([`pricing`]), the Harris two-pass ratio test with a bounded
+//! anti-degeneracy perturbation, Bland's rule demoted to a size-scaled last
+//! resort ([`bland_fallback_threshold`]), and a **dual-simplex warm
+//! re-solve** (devex leaving rows, bound-flipping ratio test) that repairs a
+//! session after incremental rows with a handful of dual pivots instead of a
 //! phase-1 restart.  Every solve reports its effort in [`SolveStats`].
+//! The only setting is presolve on/off, plus the resource budget
+//! ([`SolverTuning`]).
 //!
 //! Solves can be **budgeted** ([`SolveBudget`] on [`SolverTuning::budget`]):
 //! a wall-clock deadline, an iteration cap, and a refactorization cap,
@@ -66,7 +62,7 @@ pub mod pricing;
 pub mod simplex;
 pub mod sparse;
 
-pub use backend::{LpBackend, LpSession, SimplexBackend, SparseBackend, TunedBackend};
+pub use backend::{LpBackend, LpSession, SparseBackend};
 pub use factor::{FactorKind, WarmStrategy};
 pub use pricing::{
     bland_fallback_threshold, DualPricing, DualRatio, PricingRule, SolveBudget, SolverTuning,

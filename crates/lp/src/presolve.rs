@@ -477,7 +477,7 @@ impl LpSession for PresolvedSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{LpBackend, SimplexBackend, SparseBackend};
+    use crate::backend::{LpBackend, SparseBackend};
     use crate::pricing::SolverTuning;
 
     fn assert_close(a: f64, b: f64) {
@@ -499,7 +499,7 @@ mod tests {
         assert_eq!(pre.cols_dropped, 1);
         assert_eq!(pre.rows_dropped, 1);
 
-        let mut session = SimplexBackend.open(&lp);
+        let mut session = SparseBackend.open(&lp);
         let sol = session.minimize(&[(y, -1.0)]);
         assert_eq!(sol.status, LpStatus::Optimal);
         assert_close(sol.value(x), 2.0);
@@ -536,7 +536,7 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0)], Cmp::Eq, -2.0); // x = -2, x >= 0
         lp.add_constraint(vec![(x, 1.0)], Cmp::Le, 5.0);
         assert!(presolve(&lp).infeasible);
-        let sol = SimplexBackend.open(&lp).minimize(&[(x, 1.0)]);
+        let sol = SparseBackend.open(&lp).minimize(&[(x, 1.0)]);
         assert_eq!(sol.status, LpStatus::Infeasible);
     }
 
@@ -552,7 +552,7 @@ mod tests {
         let pre = presolve(&lp);
         assert_eq!(pre.reduced.num_constraints(), 1);
         assert_eq!(pre.rows_dropped, 2);
-        let sol = SimplexBackend.open(&lp).minimize(&[(x, -1.0)]);
+        let sol = SparseBackend.open(&lp).minimize(&[(x, -1.0)]);
         assert_close(sol.objective, -4.0);
     }
 
@@ -610,12 +610,12 @@ mod tests {
             presolve: false,
             ..SolverTuning::default()
         };
-        for backend in [&SimplexBackend as &dyn LpBackend, &SparseBackend] {
-            let sol = backend.open_with(&lp, &tuning).minimize(lp.objective());
-            assert_eq!(sol.status, LpStatus::Optimal);
-            assert_close(sol.value(x), 2.0);
-            assert_eq!(sol.stats.presolve_rows, 0);
-            assert_eq!(sol.stats.presolve_cols, 0);
-        }
+        let sol = SparseBackend
+            .open_with(&lp, &tuning)
+            .minimize(lp.objective());
+        assert_eq!(sol.status, LpStatus::Optimal);
+        assert_close(sol.value(x), 2.0);
+        assert_eq!(sol.stats.presolve_rows, 0);
+        assert_eq!(sol.stats.presolve_cols, 0);
     }
 }

@@ -1,19 +1,14 @@
-//! The LP problem model and the dense reference solve.
+//! The LP problem model and its one-shot solve.
 //!
 //! This module owns the crate's vocabulary — [`LpProblem`], [`LpSolution`],
-//! [`LpStatus`], [`SolveStats`] — and the one-shot reference entry point
-//! [`LpProblem::solve`].  The iteration machinery itself lives in the shared
-//! `SimplexCore`: the dense path is simply the
-//! core configured with dense column storage and the explicit dense basis
-//! inverse, so the reference solver and the sparse session backend can never
-//! drift apart feature-by-feature again (they used to be two parallel
-//! 1000-line implementations of the same loop).
+//! [`LpStatus`], [`SolveStats`] — and the one-shot entry point
+//! [`LpProblem::solve`].  The iteration machinery itself lives in the
+//! `SimplexCore` that [`SparseBackend`](crate::SparseBackend) sessions run.
 
 use std::fmt;
 
 use crate::core::SimplexCore;
-use crate::factor::{FactorKind, WarmStrategy};
-use crate::pricing::{PricingRule, SolverTuning};
+use crate::pricing::SolverTuning;
 use crate::sparse::SparseMatrix;
 
 /// Per-solve solver effort and presolve-reduction counters, carried on every
@@ -31,29 +26,27 @@ pub struct SolveStats {
     pub presolve_rows: usize,
     /// Columns removed by presolve (fixed by singleton rows or empty).
     pub presolve_cols: usize,
-    /// Factorization update etas appended by the LU factorization (0 under
-    /// the dense inverse).  Under the Forrest–Tomlin scheme each successful
-    /// update appends one row eta.
+    /// Successful Forrest–Tomlin factorization updates (each may append
+    /// one row eta).
     pub etas: usize,
     /// Dual-simplex pivots spent restoring primal feasibility after warm
-    /// incremental rows (0 for cold solves and the phase-1 strategy).
+    /// incremental rows (0 for cold solves).
     pub dual_pivots: usize,
     /// Nonbasic variables moved bound-to-bound without a basis change — by
     /// the bound-flipping dual ratio test or by a primal entering step that
     /// hit the entering variable's own upper bound first.
     pub bound_flips: usize,
     /// U entries retired in place by Forrest–Tomlin column replacements —
-    /// the growth a product-form eta file would have accumulated instead
-    /// (0 under the dense inverse).
+    /// the growth a product-form eta file would have accumulated instead.
     pub eta_compactions: usize,
-    /// Peak length of the LU eta file observed during the solve (0 under
-    /// the dense inverse).  Under `merge` this takes the max, not the sum.
+    /// Peak length of the LU eta file observed during the solve.  Under
+    /// `merge` this takes the max, not the sum.
     pub eta_len: usize,
     /// Nanoseconds spent in forward solves (`B⁻¹·`: directions, basic-value
     /// recomputation, bound-flip batches).
     pub ftran_ns: u64,
     /// Nanoseconds spent in backward solves (`·B⁻¹`: dual prices, pivot
-    /// rows, steepest-edge reference solves).
+    /// rows).
     pub btran_ns: u64,
     /// Nanoseconds spent choosing entering columns (primal) and leaving
     /// rows (dual).
@@ -62,10 +55,9 @@ pub struct SolveStats {
     /// dual entering scan, bound-flip breakpoint walk included).
     pub ratio_ns: u64,
     /// Forward solves completed on the hyper-sparse (Gilbert–Peierls)
-    /// path of the LU kernels (0 under the dense inverse).
+    /// path of the LU kernels.
     pub hyper_sparse_ftrans: u64,
-    /// Backward solves completed on the hyper-sparse path (0 under the
-    /// dense inverse).
+    /// Backward solves completed on the hyper-sparse path.
     pub hyper_sparse_btrans: u64,
     /// LU kernel calls that ran — or mid-solve fell back to — the dense
     /// scan because the result density crossed the threshold.
@@ -219,9 +211,8 @@ impl LpSolution {
 /// variable either non-negative or free.
 ///
 /// Constraint rows are stored sparsely (CSR, see [`SparseMatrix`]): the
-/// builder emits rows with a handful of nonzeros each, and both the dense
-/// reference configuration and the sparse session backend of the shared
-/// simplex core consume them directly.
+/// builder emits rows with a handful of nonzeros each, and the simplex core
+/// consumes them directly.
 #[derive(Debug, Clone, Default)]
 pub struct LpProblem {
     names: Vec<String>,
@@ -309,31 +300,17 @@ impl LpProblem {
         &self.objective
     }
 
-    /// Solves the problem with the two-phase simplex method (default
-    /// pricing).
+    /// Solves the problem with the two-phase simplex method — the
+    /// [`SparseBackend`](crate::SparseBackend) core without the presolve
+    /// pass.  The callers of this one-shot path solve tiny systems (the
+    /// entailment checks have ~3 variables and ~6 rows), where presolve
+    /// costs more than it removes: 15.5 µs against 10.9 µs per LP.
     pub fn solve(&self) -> LpSolution {
-        self.solve_with(PricingRule::default())
-    }
-
-    /// Solves the problem with the two-phase simplex method under the given
-    /// pricing rule — the raw reference path: dense columns, the explicit
-    /// dense basis inverse, no presolve.
-    pub fn solve_with(&self, pricing: PricingRule) -> LpSolution {
         let tuning = SolverTuning {
-            pricing,
             presolve: false,
-            factor: FactorKind::Dense,
-            warm: WarmStrategy::Dual,
             ..SolverTuning::default()
         };
-        SimplexCore::solve_problem(self, &tuning, true)
-    }
-
-    /// Solves the problem through the shared core with dense column storage
-    /// under explicit tuning (what the dense backend's sessions run per
-    /// `minimize`; presolve is the backend wrapper's business).
-    pub(crate) fn solve_dense_with(&self, tuning: &SolverTuning) -> LpSolution {
-        SimplexCore::solve_problem(self, tuning, true)
+        SimplexCore::solve_problem(self, &tuning)
     }
 }
 
@@ -533,24 +510,15 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0), (y, 2.0)], Cmp::Ge, 4.0);
         lp.add_constraint(vec![(x, 3.0), (y, 1.0)], Cmp::Ge, 6.0);
         lp.set_objective(vec![(x, 1.0), (y, 1.0)]);
-        let mut objectives = Vec::new();
-        for rule in PricingRule::ALL {
-            let sol = lp.solve_with(rule);
-            assert!(sol.is_optimal(), "{rule}: {:?}", sol.status);
-            assert!(sol.stats.iterations > 0, "{rule} reported no iterations");
-            // The raw dense solve has no presolve stage, no LU etas, and no
-            // warm rows to restore dually.
-            assert_eq!(sol.stats.presolve_rows, 0);
-            assert_eq!(sol.stats.etas, 0);
-            assert_eq!(sol.stats.dual_pivots, 0);
-            objectives.push(sol.objective);
-        }
-        for pair in objectives.windows(2) {
-            assert!(
-                (pair[0] - pair[1]).abs() < 1e-9,
-                "pricing changed the optimum"
-            );
-        }
+        // Devex is the one pricing rule left.
+        let sol = lp.solve();
+        assert!(sol.is_optimal(), "{:?}", sol.status);
+        assert_close(sol.objective, 2.8); // x = 1.6, y = 1.2
+        assert!(sol.stats.iterations > 0, "no iterations reported");
+        // The one-shot solve has no presolve stage and no warm rows to
+        // restore dually.
+        assert_eq!(sol.stats.presolve_rows, 0);
+        assert_eq!(sol.stats.dual_pivots, 0);
         let merged = SolveStats {
             iterations: 2,
             refactorizations: 1,

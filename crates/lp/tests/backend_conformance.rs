@@ -2,15 +2,18 @@
 //!
 //! Every obligation of the backend contract (see `crates/lp/src/backend.rs`
 //! and `DESIGN.md`) is exercised by `conformance::<B>()`, instantiated here
-//! for the built-in [`SimplexBackend`] and [`SparseBackend`].  A new backend
-//! earns its place by adding one `#[test]` that calls the same function.
+//! for the built-in [`SparseBackend`] and the test suite's cold re-solving
+//! reference backend.  A new backend earns its place by adding one `#[test]`
+//! that calls the same function.
 //! The suite covers both the one-shot `solve` path and the session
 //! obligations (re-minimize determinism, incremental rows and columns).
 
+mod common;
+
 use cma_lp::{
-    Cmp, FactorKind, LpBackend, LpProblem, LpStatus, PricingRule, SimplexBackend, SolverTuning,
-    SparseBackend, TunedBackend, WarmStrategy,
+    Cmp, LpBackend, LpProblem, LpSession, LpSolution, LpStatus, SolverTuning, SparseBackend,
 };
+use common::cold::ColdBackend;
 
 const TOL: f64 = 1e-6;
 
@@ -290,56 +293,53 @@ fn batch_matches_sequential<B: LpBackend>(backend: &B) {
 }
 
 #[test]
-fn simplex_backend_conforms() {
-    conformance(&SimplexBackend);
-}
-
-#[test]
 fn sparse_backend_conforms() {
     conformance(&SparseBackend);
 }
 
-/// The tuning matrix: dense/sparse × dantzig/devex/partial × presolve
-/// on/off × dense-inverse/LU factorization — must all satisfy every session
-/// obligation.  Pricing and factorization change the pivot *path* and the
-/// linear algebra, never the contract.
+/// Re-solving from scratch after incremental rows — a phase-1 start — is
+/// the cold reference backend's strategy; it must satisfy every obligation
+/// too, or it could not serve as the warm path's baseline.
 #[test]
-fn pricing_presolve_factor_matrix_conforms() {
-    for pricing in PricingRule::ALL {
-        for presolve in [true, false] {
-            for factor in FactorKind::ALL {
-                let tuning = SolverTuning {
-                    pricing,
-                    presolve,
-                    factor,
-                    ..SolverTuning::default()
-                };
-                conformance(&TunedBackend::new(SimplexBackend, tuning));
-                conformance(&TunedBackend::new(SparseBackend, tuning));
-            }
-        }
+fn phase1_warm_strategy_conforms() {
+    conformance(&ColdBackend);
+}
+
+/// A backend whose every entry point solves under one pinned tuning.
+struct Pinned<B>(B, SolverTuning);
+
+impl<B: LpBackend> LpBackend for Pinned<B> {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn open<'a>(&'a self, problem: &LpProblem) -> Box<dyn LpSession + 'a> {
+        self.0.open_with(problem, &self.1)
+    }
+
+    fn solve_batch(&self, problems: &[LpProblem], threads: usize) -> Vec<LpSolution> {
+        self.0.solve_batch_with(problems, threads, &self.1)
     }
 }
 
-/// The legacy phase-1 warm-resolve strategy keeps satisfying the session
-/// obligations (the dual strategy is the default and covered by the matrix
-/// above).
+/// Presolve on and off — the one solver setting — must both satisfy every
+/// obligation, on the warm sessions and on the cold reference.
 #[test]
-fn phase1_warm_strategy_conforms() {
-    for factor in FactorKind::ALL {
+fn presolve_matrix_conforms() {
+    for presolve in [true, false] {
         let tuning = SolverTuning {
-            warm: WarmStrategy::Phase1,
-            factor,
+            presolve,
             ..SolverTuning::default()
         };
-        conformance(&TunedBackend::new(SparseBackend, tuning));
+        conformance(&Pinned(SparseBackend, tuning));
+        conformance(&Pinned(ColdBackend, tuning));
     }
 }
 
 #[test]
 fn borrowed_and_dyn_backends_conform() {
     // The blanket impl for references must preserve conformance.
-    let backend = SimplexBackend;
+    let backend = ColdBackend;
     conformance(&&backend);
     let dynamic: &dyn LpBackend = &backend;
     conformance(&dynamic);

@@ -9,48 +9,18 @@
 //!   cancellation latency), no matter the instance.
 //! * **carry-over** — the budget spans a session's whole lifetime: repeated
 //!   minimizes draw down the same iteration pool on both the stateful
-//!   sparse session and the re-solving dense session.
+//!   sparse session and the cold re-solving reference session.
+
+mod common;
 
 use std::time::{Duration, Instant};
 
-use cma_lp::{
-    Cmp, LpBackend, LpProblem, LpStatus, LpVarId, SimplexBackend, SolveBudget, SolverTuning,
-    SparseBackend,
-};
+use cma_lp::{Cmp, LpBackend, LpProblem, LpStatus, SolveBudget, SolverTuning, SparseBackend};
+use common::cold::ColdBackend;
 use proptest::prelude::*;
 
-/// Deterministically decodes a generated seed vector into an LP (same shape
-/// as the agreement suites): free/non-negative variables, Le/Ge/Eq rows,
-/// infeasible and unbounded instances generated on purpose.
 fn decode(seed: &[(f64, f64, f64)], vars: usize) -> LpProblem {
-    let mut lp = LpProblem::new();
-    let ids: Vec<LpVarId> = (0..vars)
-        .map(|i| lp.add_var(format!("v{i}"), i % 3 == 0))
-        .collect();
-    for (i, &(a, b, c)) in seed.iter().enumerate() {
-        let terms: Vec<(LpVarId, f64)> = ids
-            .iter()
-            .enumerate()
-            .map(|(j, &v)| (v, ((a * (j as f64 + 1.0) + b).sin() * 4.0).round() / 2.0))
-            .filter(|&(_, coeff)| coeff != 0.0)
-            .collect();
-        let cmp = match i % 3 {
-            0 => Cmp::Le,
-            1 => Cmp::Ge,
-            _ => Cmp::Eq,
-        };
-        if terms.is_empty() {
-            continue;
-        }
-        lp.add_constraint(terms, cmp, (c * 10.0).round() / 2.0);
-    }
-    lp.set_objective(
-        ids.iter()
-            .enumerate()
-            .map(|(j, &v)| (v, if j % 2 == 0 { 1.0 } else { 0.5 }))
-            .collect(),
-    );
-    lp
+    common::decode(seed, vars).0
 }
 
 /// Wall-clock slack allowed past the deadline: the cooperative check runs
@@ -70,7 +40,7 @@ proptest! {
         let lp = decode(&seed, vars);
         let unbudgeted = SparseBackend.solve(&lp);
         let tuning = SolverTuning::with_budget(SolveBudget::with_max_iters(cap));
-        for backend in [&SparseBackend as &dyn LpBackend, &SimplexBackend] {
+        for backend in [&SparseBackend as &dyn LpBackend, &ColdBackend] {
             let budgeted = backend.solve_with(&lp, &tuning);
             prop_assert!(
                 budgeted.status == LpStatus::BudgetExhausted
@@ -136,7 +106,7 @@ fn expired_deadline_reports_exhaustion_not_infeasibility() {
         deadline: Some(Instant::now() - Duration::from_secs(1)),
         ..SolveBudget::UNLIMITED
     };
-    for backend in [&SparseBackend as &dyn LpBackend, &SimplexBackend] {
+    for backend in [&SparseBackend as &dyn LpBackend, &ColdBackend] {
         let sol = backend.solve_with(&lp, &SolverTuning::with_budget(expired));
         assert_eq!(sol.status, LpStatus::BudgetExhausted);
     }
@@ -163,7 +133,7 @@ fn session_budget_carries_over_across_minimizes() {
         .stats
         .iterations;
     assert!(first_cost > 0);
-    for backend in [&SparseBackend as &dyn LpBackend, &SimplexBackend] {
+    for backend in [&SparseBackend as &dyn LpBackend, &ColdBackend] {
         // Enough for the first solve and a bit of warm re-minimizing, but
         // not for an unbounded number of them.
         let budget = SolveBudget::with_max_iters(first_cost + 4);

@@ -1,54 +1,37 @@
-//! Property test pinning [`SparseBackend`] to the dense reference solver on
-//! randomly generated LPs: statuses always agree, and optimal objective
-//! values agree within tolerance — both through one-shot solves and through
-//! a session that receives the rows incrementally.
+//! Property tests pinning the production solver to the independent dense
+//! tableau oracle (`common/oracle.rs`) on randomly generated LPs: statuses
+//! always agree, and optimal objective values agree within 1e-6 — through
+//! one-shot solves (with and without presolve) and through a session that
+//! receives the rows incrementally and repairs them with dual pivots.  Each
+//! case also runs with every variable boxed, so most systems come out
+//! bounded (the plain generator yields mostly infeasible and unbounded
+//! ones) and the bound-flipping paths see boxed columns.
 
-use cma_lp::{Cmp, LpBackend, LpProblem, LpStatus, LpVarId, SimplexBackend, SparseBackend};
+mod common;
+
+use cma_lp::{LpBackend, LpProblem, LpSolution, LpStatus, LpVarId, SparseBackend};
+use common::oracle::{self, OracleSolution};
+use common::{boxed, decode, prefix};
 use proptest::prelude::*;
 
-const TOL: f64 = 1e-5;
+const TOL: f64 = 1e-6;
 
-/// Deterministically decodes a generated seed vector into an LP: a mix of
-/// free/non-negative variables, Le/Ge/Eq rows with small coefficients, and a
-/// signed objective.  Bounded below by construction only sometimes — the
-/// generator intentionally produces infeasible and unbounded instances too.
-fn decode(seed: &[(f64, f64, f64)], vars: usize) -> (LpProblem, Vec<LpVarId>) {
-    let mut lp = LpProblem::new();
-    let ids: Vec<LpVarId> = (0..vars)
-        .map(|i| lp.add_var(format!("v{i}"), i % 3 == 0))
-        .collect();
-    for (i, &(a, b, c)) in seed.iter().enumerate() {
-        let terms: Vec<(LpVarId, f64)> = ids
-            .iter()
-            .enumerate()
-            .map(|(j, &v)| (v, ((a * (j as f64 + 1.0) + b).sin() * 4.0).round() / 2.0))
-            .filter(|&(_, coeff)| coeff != 0.0)
-            .collect();
-        let cmp = match i % 3 {
-            0 => Cmp::Le,
-            1 => Cmp::Ge,
-            _ => Cmp::Eq,
-        };
-        if terms.is_empty() {
-            continue;
-        }
-        lp.add_constraint(terms, cmp, (c * 10.0).round() / 2.0);
-    }
-    lp.set_objective(
-        ids.iter()
-            .enumerate()
-            .map(|(j, &v)| (v, if j % 2 == 0 { 1.0 } else { 0.5 }))
-            .collect(),
+/// Asserts equal statuses and, for optimal solves, objectives within `TOL`
+/// (relative to their magnitude).
+fn assert_agrees(reference: &OracleSolution, solution: &LpSolution, context: &str) {
+    assert_eq!(
+        reference.status, solution.status,
+        "{context}: status mismatch (oracle vs production)"
     );
-    (lp, ids)
-}
-
-fn statuses_agree(dense: &cma_lp::LpSolution, sparse: &cma_lp::LpSolution) -> bool {
-    // Optimal/Infeasible/Unbounded must match exactly; BudgetExhausted on
-    // either side (numerical exhaustion) is excused.
-    dense.status == sparse.status
-        || dense.status == LpStatus::BudgetExhausted
-        || sparse.status == LpStatus::BudgetExhausted
+    if reference.status == LpStatus::Optimal {
+        assert!(
+            (reference.objective - solution.objective).abs()
+                <= TOL * (1.0 + reference.objective.abs()),
+            "{context}: objective mismatch: oracle {} vs production {}",
+            reference.objective,
+            solution.objective
+        );
+    }
 }
 
 proptest! {
@@ -57,69 +40,63 @@ proptest! {
         seed in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0), 1..9),
         vars in 1usize..6,
     ) {
-        let (lp, _ids) = decode(&seed, vars);
-        let dense = SimplexBackend.solve(&lp);
-        let sparse = SparseBackend.solve(&lp);
-        prop_assert!(
-            statuses_agree(&dense, &sparse),
-            "status mismatch: dense {:?} vs sparse {:?}",
-            dense.status,
-            sparse.status
-        );
-        if dense.status == LpStatus::Optimal && sparse.status == LpStatus::Optimal {
-            prop_assert!(
-                (dense.objective - sparse.objective).abs()
-                    <= TOL * (1.0 + dense.objective.abs()),
-                "objective mismatch: dense {} vs sparse {}",
-                dense.objective,
-                sparse.objective
-            );
+        let (plain, _ids) = decode(&seed, vars);
+        for lp in [boxed(&plain, 10.0), plain] {
+            let reference = oracle::solve(&lp);
+            // The session backend (presolve on) and the one-shot solve
+            // (presolve off).
+            for (label, solution) in [("backend", SparseBackend.solve(&lp)), ("one-shot", lp.solve())] {
+                assert_agrees(&reference, &solution, label);
+            }
         }
     }
 
     #[test]
     fn sparse_sessions_agree_with_dense_under_incremental_rows(
-        seed in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0), 2..8),
-        vars in 1usize..5,
+        seed in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0), 2..9),
+        vars in 1usize..6,
         split in 1usize..4,
     ) {
-        // Open the sparse session on a prefix of the rows, feed the rest
-        // incrementally, and compare against a dense from-scratch solve of
-        // the full system.
-        let (full, ids) = decode(&seed, vars);
-        let split = split.min(full.num_constraints());
-        // Rebuild the same variable space (same creation order → same ids),
-        // but only the first `split` rows.
-        let mut prefix = LpProblem::new();
-        for &v in &ids {
-            prefix.add_var(full.var_name(v), full.is_free(v));
-        }
-        for i in 0..split {
-            let terms: Vec<(LpVarId, f64)> = full.constraint_terms(i).collect();
-            prefix.add_constraint(terms, full.cmp(i), full.rhs(i));
-        }
-        let mut session = SparseBackend.open(&prefix);
-        session.minimize(full.objective());
-        for i in split..full.num_constraints() {
-            let terms: Vec<(LpVarId, f64)> = full.constraint_terms(i).collect();
-            session.add_constraint(&terms, full.cmp(i), full.rhs(i));
-        }
-        let incremental = session.minimize(full.objective());
-        let reference = SimplexBackend.solve(&full);
-        prop_assert!(
-            statuses_agree(&reference, &incremental),
-            "status mismatch after incremental rows: dense {:?} vs sparse {:?}",
-            reference.status,
-            incremental.status
-        );
-        if reference.status == LpStatus::Optimal && incremental.status == LpStatus::Optimal {
-            prop_assert!(
-                (reference.objective - incremental.objective).abs()
-                    <= TOL * (1.0 + reference.objective.abs()),
-                "objective mismatch after incremental rows: dense {} vs sparse {}",
-                reference.objective,
-                incremental.objective
-            );
+        // Open the session on a prefix of the rows, feed the rest
+        // incrementally, and compare against the oracle's from-scratch solve
+        // of the full system.
+        let (plain, ids) = decode(&seed, vars);
+        // Boxed systems open on the box plus `split` rows.
+        for (full, split) in [(boxed(&plain, 10.0), 2 * ids.len() + split), (plain, split)] {
+            let split = split.min(full.num_constraints());
+            let mut session = SparseBackend.open(&prefix(&full, split));
+            session.minimize(full.objective());
+            for i in split..full.num_constraints() {
+                let terms: Vec<(LpVarId, f64)> = full.constraint_terms(i).collect();
+                session.add_constraint(&terms, full.cmp(i), full.rhs(i));
+            }
+            let incremental = session.minimize(full.objective());
+            assert_agrees(&oracle::solve(&full), &incremental, "after incremental rows");
         }
     }
+}
+
+/// The oracle itself on hand-checked systems, so a bug in it cannot hide
+/// behind agreement with the production solver.
+#[test]
+fn oracle_solves_hand_checked_systems() {
+    let mut lp = LpProblem::new();
+    let x = lp.add_var("x", false);
+    let y = lp.add_var("y", false);
+    lp.add_constraint(vec![(x, 1.0), (y, 1.0)], cma_lp::Cmp::Le, 4.0);
+    lp.add_constraint(vec![(y, 1.0)], cma_lp::Cmp::Le, 3.0);
+    lp.set_objective(vec![(x, -1.0), (y, -2.0)]);
+    let sol = oracle::solve(&lp);
+    assert_eq!(sol.status, LpStatus::Optimal);
+    assert!((sol.objective - (-7.0)).abs() < 1e-9);
+
+    let mut free = LpProblem::new();
+    let z = free.add_var("z", true);
+    free.add_constraint(vec![(z, 1.0)], cma_lp::Cmp::Ge, -2.5);
+    free.set_objective(vec![(z, 1.0)]);
+    assert!((oracle::solve(&free).objective - (-2.5)).abs() < 1e-9);
+    free.set_objective(vec![(z, -1.0)]);
+    assert_eq!(oracle::solve(&free).status, LpStatus::Unbounded);
+    free.add_constraint(vec![(z, 1.0)], cma_lp::Cmp::Eq, -3.0);
+    assert_eq!(oracle::solve(&free).status, LpStatus::Infeasible);
 }

@@ -1,107 +1,24 @@
-//! Property tests pinning the basis-factorization seam to the reference.
+//! Property tests pinning the warm dual re-solve and the LU kernels.
 //!
-//! * **factor agreement** — on random LPs, solving with the Markowitz-LU
-//!   factorization must agree with the dense-inverse factorization (and
-//!   with the raw dense reference solve) on status and optimal objective,
-//!   across the pricing × presolve matrix and both backends.  The
-//!   factorization changes the linear algebra, never the answer.
-//! * **dual-vs-primal warm resolve** — a session that receives rows
-//!   incrementally under the dual-simplex strategy must agree with the same
-//!   session under the legacy phase-1 strategy and with a from-scratch
-//!   solve of the assembled problem, for every factorization.
+//! * **dual-vs-cold warm resolve** — a session that receives rows
+//!   incrementally, repairing them with dual-simplex pivots, must agree
+//!   with a cold re-solve of the assembled problem (a phase-1 start, via
+//!   the cold reference backend) and with the independent oracle.
+//! * **boxed cuts** — the bound-flipping dual ratio test, driven by boxed
+//!   columns under shrinking cuts, lands on the oracle's optimum.
+//! * **hyper-sparse vs dense scan** — every LU kernel gives the same vector
+//!   on the hyper-sparse path and pinned to the dense scan.
 
-use cma_lp::{
-    Cmp, DualPricing, DualRatio, FactorKind, LpBackend, LpProblem, LpStatus, LpVarId, PricingRule,
-    SimplexBackend, SolverTuning, SparseBackend, TunedBackend, WarmStrategy,
-};
+mod common;
+
+use cma_lp::{Cmp, LpBackend, LpProblem, LpStatus, LpVarId, SolverTuning, SparseBackend};
+use common::cold::ColdBackend;
+use common::{decode, oracle, prefix, statuses_agree};
 use proptest::prelude::*;
 
-const TOL: f64 = 1e-5;
-
-/// Deterministically decodes a generated seed vector into an LP (same shape
-/// as `dense_sparse_agreement`): a mix of free/non-negative variables,
-/// Le/Ge/Eq rows with small half-integer coefficients, and a signed
-/// objective.  Infeasible and unbounded instances are generated on purpose.
-fn decode(seed: &[(f64, f64, f64)], vars: usize) -> (LpProblem, Vec<LpVarId>) {
-    let mut lp = LpProblem::new();
-    let ids: Vec<LpVarId> = (0..vars)
-        .map(|i| lp.add_var(format!("v{i}"), i % 3 == 0))
-        .collect();
-    for (i, &(a, b, c)) in seed.iter().enumerate() {
-        let terms: Vec<(LpVarId, f64)> = ids
-            .iter()
-            .enumerate()
-            .map(|(j, &v)| (v, ((a * (j as f64 + 1.0) + b).sin() * 4.0).round() / 2.0))
-            .filter(|&(_, coeff)| coeff != 0.0)
-            .collect();
-        let cmp = match i % 3 {
-            0 => Cmp::Le,
-            1 => Cmp::Ge,
-            _ => Cmp::Eq,
-        };
-        if terms.is_empty() {
-            continue;
-        }
-        lp.add_constraint(terms, cmp, (c * 10.0).round() / 2.0);
-    }
-    lp.set_objective(
-        ids.iter()
-            .enumerate()
-            .map(|(j, &v)| (v, if j % 2 == 0 { 1.0 } else { 0.5 }))
-            .collect(),
-    );
-    (lp, ids)
-}
-
-fn statuses_agree(a: &cma_lp::LpSolution, b: &cma_lp::LpSolution) -> bool {
-    a.status == b.status
-        || a.status == LpStatus::BudgetExhausted
-        || b.status == LpStatus::BudgetExhausted
-}
+const TOL: f64 = 1e-6;
 
 proptest! {
-    #[test]
-    fn lu_factorization_agrees_with_dense_inverse(
-        seed in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0), 1..9),
-        vars in 1usize..6,
-    ) {
-        let (lp, _ids) = decode(&seed, vars);
-        let reference = lp.solve();
-        for pricing in PricingRule::ALL {
-            for presolve in [true, false] {
-                for backend in [&SimplexBackend as &dyn LpBackend, &SparseBackend] {
-                    let solve = |factor: FactorKind| {
-                        let tuning = SolverTuning { pricing, presolve, factor,
-                            ..SolverTuning::default() };
-                        TunedBackend::new(backend, tuning).solve(&lp)
-                    };
-                    let dense = solve(FactorKind::Dense);
-                    let lu = solve(FactorKind::Lu);
-                    prop_assert!(
-                        statuses_agree(&dense, &lu) && statuses_agree(&reference, &lu),
-                        "status mismatch: reference {:?}, dense-factor {:?}, lu {:?} \
-                         ({}/{pricing}/presolve={presolve})",
-                        reference.status,
-                        dense.status,
-                        lu.status,
-                        backend.name(),
-                    );
-                    if dense.status == LpStatus::Optimal && lu.status == LpStatus::Optimal {
-                        prop_assert!(
-                            (dense.objective - lu.objective).abs()
-                                <= TOL * (1.0 + dense.objective.abs()),
-                            "objective mismatch: dense-factor {} vs lu {} \
-                             ({}/{pricing}/presolve={presolve})",
-                            dense.objective,
-                            lu.objective,
-                            backend.name(),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn dual_and_phase1_warm_resolves_agree_on_incremental_rows(
         seed in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0), 2..8),
@@ -109,132 +26,39 @@ proptest! {
         split in 1usize..4,
     ) {
         // Open a session on a prefix of the rows, feed the rest
-        // incrementally under both warm-resolve strategies and both
-        // factorizations, and compare against a dense from-scratch solve of
-        // the full system.
-        let (full, ids) = decode(&seed, vars);
+        // incrementally to the warm and the cold backend, and compare both
+        // against the oracle's solve of the full system.
+        let (full, _ids) = decode(&seed, vars);
         let split = split.min(full.num_constraints());
-        let mut prefix = LpProblem::new();
-        for &v in &ids {
-            prefix.add_var(full.var_name(v), full.is_free(v));
-        }
-        for i in 0..split {
-            let terms: Vec<(LpVarId, f64)> = full.constraint_terms(i).collect();
-            prefix.add_constraint(terms, full.cmp(i), full.rhs(i));
-        }
-        let reference = SimplexBackend.solve(&full);
-        for factor in FactorKind::ALL {
-            for warm in [WarmStrategy::Dual, WarmStrategy::Phase1] {
-                let tuning = SolverTuning { factor, warm, ..SolverTuning::default() };
-                let mut session = SparseBackend.open_with(&prefix, &tuning);
-                session.minimize(full.objective());
-                for i in split..full.num_constraints() {
-                    let terms: Vec<(LpVarId, f64)> = full.constraint_terms(i).collect();
-                    session.add_constraint(&terms, full.cmp(i), full.rhs(i));
-                }
-                let incremental = session.minimize(full.objective());
-                prop_assert!(
-                    statuses_agree(&reference, &incremental),
-                    "status mismatch after incremental rows ({factor}/{warm}): \
-                     scratch {:?} vs warm {:?}",
-                    reference.status,
-                    incremental.status
-                );
-                if reference.status == LpStatus::Optimal
-                    && incremental.status == LpStatus::Optimal
-                {
-                    prop_assert!(
-                        (reference.objective - incremental.objective).abs()
-                            <= TOL * (1.0 + reference.objective.abs()),
-                        "objective mismatch after incremental rows ({factor}/{warm}): \
-                         scratch {} vs warm {}",
-                        reference.objective,
-                        incremental.objective
-                    );
-                }
-                if warm == WarmStrategy::Phase1 {
-                    prop_assert_eq!(incremental.stats.dual_pivots, 0);
-                }
+        let start = prefix(&full, split);
+        let reference = oracle::solve(&full);
+        let run = |backend: &dyn LpBackend| {
+            let mut session = backend.open(&start);
+            session.minimize(full.objective());
+            for i in split..full.num_constraints() {
+                let terms: Vec<(LpVarId, f64)> = full.constraint_terms(i).collect();
+                session.add_constraint(&terms, full.cmp(i), full.rhs(i));
             }
-        }
-    }
-
-    /// The dual-knob matrix: every combination of ratio test (bound-flipping
-    /// long step vs classic Harris) and leaving-row pricing (devex vs exact
-    /// steepest edge) must reach the same verdict and the same optimum — to
-    /// 1e-6 — as a cold phase-1 restart and a from-scratch reference solve,
-    /// on both backends and both factorizations.  The knobs change the pivot
-    /// path, never the answer.
-    #[test]
-    fn dual_knobs_agree_with_cold_phase1_on_incremental_rows(
-        seed in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0), 2..8),
-        vars in 1usize..5,
-        split in 1usize..4,
-    ) {
-        const KNOB_TOL: f64 = 1e-6;
-        let (full, ids) = decode(&seed, vars);
-        let split = split.min(full.num_constraints());
-        let mut prefix = LpProblem::new();
-        for &v in &ids {
-            prefix.add_var(full.var_name(v), full.is_free(v));
-        }
-        for i in 0..split {
-            let terms: Vec<(LpVarId, f64)> = full.constraint_terms(i).collect();
-            prefix.add_constraint(terms, full.cmp(i), full.rhs(i));
-        }
-        let reference = SimplexBackend.solve(&full);
-        for backend in [&SimplexBackend as &dyn LpBackend, &SparseBackend] {
-            for factor in FactorKind::ALL {
-                let run = |tuning: SolverTuning| {
-                    let mut session = backend.open_with(&prefix, &tuning);
-                    session.minimize(full.objective());
-                    for i in split..full.num_constraints() {
-                        let terms: Vec<(LpVarId, f64)> = full.constraint_terms(i).collect();
-                        session.add_constraint(&terms, full.cmp(i), full.rhs(i));
-                    }
-                    session.minimize(full.objective())
-                };
-                let cold = run(SolverTuning {
-                    factor,
-                    warm: WarmStrategy::Phase1,
-                    ..SolverTuning::default()
-                });
-                prop_assert!(statuses_agree(&reference, &cold));
-                for dual_pricing in DualPricing::ALL {
-                    for dual_ratio in DualRatio::ALL {
-                        let warm = run(SolverTuning {
-                            factor,
-                            warm: WarmStrategy::Dual,
-                            dual_pricing,
-                            dual_ratio,
-                            ..SolverTuning::default()
-                        });
-                        let context = format!(
-                            "{}/{factor}/{dual_pricing}/{dual_ratio}",
-                            backend.name()
-                        );
-                        prop_assert!(
-                            statuses_agree(&reference, &warm) && statuses_agree(&cold, &warm),
-                            "{context}: verdict mismatch: scratch {:?}, phase-1 {:?}, dual {:?}",
-                            reference.status,
-                            cold.status,
-                            warm.status
-                        );
-                        for (name, other) in [("scratch", &reference), ("phase-1", &cold)] {
-                            if other.status == LpStatus::Optimal
-                                && warm.status == LpStatus::Optimal
-                            {
-                                prop_assert!(
-                                    (other.objective - warm.objective).abs()
-                                        <= KNOB_TOL * (1.0 + other.objective.abs()),
-                                    "{context}: bound diverged from {name}: {} vs {}",
-                                    other.objective,
-                                    warm.objective
-                                );
-                            }
-                        }
-                    }
-                }
+            session.minimize(full.objective())
+        };
+        let warm = run(&SparseBackend);
+        let cold = run(&ColdBackend);
+        prop_assert_eq!(cold.stats.dual_pivots, 0);
+        prop_assert!(
+            statuses_agree(&cold, &warm) && reference.status == cold.status,
+            "verdict mismatch: oracle {:?}, cold {:?}, warm {:?}",
+            reference.status,
+            cold.status,
+            warm.status
+        );
+        if reference.status == LpStatus::Optimal && warm.status == LpStatus::Optimal {
+            for (name, objective) in [("oracle", reference.objective), ("cold", cold.objective)] {
+                prop_assert!(
+                    (objective - warm.objective).abs() <= TOL * (1.0 + objective.abs()),
+                    "warm bound diverged from {name}: {} vs {}",
+                    objective,
+                    warm.objective
+                );
             }
         }
     }
@@ -242,46 +66,93 @@ proptest! {
 
 /// The headline scenario of the dual warm re-solve: a cutting row on an
 /// optimal session is repaired by dual pivots — reported in `SolveStats` —
-/// with no phase-1 restart, and both strategies land on the same optimum.
+/// with no phase-1 restart, landing on the cold re-solve's optimum.
 #[test]
 fn cutting_row_resolves_via_dual_pivots() {
-    for factor in FactorKind::ALL {
+    let mut lp = LpProblem::new();
+    let x = lp.add_var("x", false);
+    let y = lp.add_var("y", false);
+    lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
+    lp.add_constraint(vec![(y, 1.0)], Cmp::Le, 3.0);
+    let objective = [(x, -1.0), (y, -2.0)];
+
+    let mut session = SparseBackend.open(&lp);
+    assert!(session.minimize(&objective).is_optimal());
+    assert!(session.warm_resolves_in_place());
+    session.add_constraint(&[(y, 1.0)], Cmp::Le, 1.0); // cuts the optimum
+    let dual = session.minimize(&objective);
+    assert!(dual.is_optimal());
+    assert!((dual.objective - (-5.0)).abs() < TOL);
+    assert!(
+        dual.stats.dual_pivots > 0,
+        "cutting row resolved without dual pivots"
+    );
+
+    let mut cold = ColdBackend.open(&lp);
+    assert!(cold.minimize(&objective).is_optimal());
+    assert!(!cold.warm_resolves_in_place());
+    cold.add_constraint(&[(y, 1.0)], Cmp::Le, 1.0);
+    let restart = cold.minimize(&objective);
+    assert!(restart.is_optimal());
+    assert!((restart.objective - dual.objective).abs() < TOL);
+    assert_eq!(restart.stats.dual_pivots, 0);
+}
+
+/// Boxed columns under a shrinking sequence of global cuts: the inference
+/// LPs are all `=`/`≥` systems, so this family is what drives the dual
+/// re-solve's bound-flipping ratio test and the Forrest–Tomlin compaction.
+/// Every warm re-solve must match the oracle's solve of the assembled
+/// problem, and the family must actually flip bounds.
+#[test]
+fn boxed_cuts_resolve_with_bound_flips_and_match_the_oracle() {
+    let mut flips = 0;
+    let mut compactions = 0;
+    for n in [2usize, 4, 8, 16, 32] {
         let mut lp = LpProblem::new();
-        let x = lp.add_var("x", false);
-        let y = lp.add_var("y", false);
-        lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
-        lp.add_constraint(vec![(y, 1.0)], Cmp::Le, 3.0);
-        let objective = [(x, -1.0), (y, -2.0)];
-
-        let dual_tuning = SolverTuning {
-            factor,
-            warm: WarmStrategy::Dual,
-            ..SolverTuning::default()
-        };
-        let mut session = SparseBackend.open_with(&lp, &dual_tuning);
-        assert!(session.minimize(&objective).is_optimal());
-        session.add_constraint(&[(y, 1.0)], Cmp::Le, 1.0); // cuts the optimum
-        let dual = session.minimize(&objective);
-        assert!(dual.is_optimal());
-        assert!((dual.objective - (-5.0)).abs() < TOL);
-        assert!(
-            dual.stats.dual_pivots > 0,
-            "{factor}: cutting row resolved without dual pivots"
-        );
-
-        let phase1_tuning = SolverTuning {
-            factor,
-            warm: WarmStrategy::Phase1,
-            ..SolverTuning::default()
-        };
-        let mut legacy = SparseBackend.open_with(&lp, &phase1_tuning);
-        assert!(legacy.minimize(&objective).is_optimal());
-        legacy.add_constraint(&[(y, 1.0)], Cmp::Le, 1.0);
-        let restart = legacy.minimize(&objective);
-        assert!(restart.is_optimal());
-        assert!((restart.objective - dual.objective).abs() < TOL);
-        assert_eq!(restart.stats.dual_pivots, 0);
+        let vars: Vec<_> = (0..3 * n)
+            .map(|j| lp.add_var(format!("x{j}"), false))
+            .collect();
+        for (j, &v) in vars.iter().enumerate() {
+            // Singleton `≤` rows: absorbed as column upper bounds.
+            lp.add_constraint(vec![(v, 1.0)], Cmp::Le, 1.0 + (j % 4) as f64 * 0.25);
+        }
+        for w in vars.windows(3) {
+            lp.add_constraint(vec![(w[0], 1.0), (w[1], 1.0), (w[2], 1.0)], Cmp::Le, 2.75);
+        }
+        let objective: Vec<_> = vars
+            .iter()
+            .enumerate()
+            .map(|(j, &v)| (v, -(1.0 + (j % 3) as f64)))
+            .collect();
+        lp.set_objective(objective.clone());
+        let mut session = SparseBackend.open(&lp);
+        let mut solution = session.minimize(&objective);
+        for cut in 0..3 {
+            let total: f64 = vars.iter().map(|&v| solution.value(v)).sum();
+            let row: Vec<_> = vars.iter().map(|&v| (v, 1.0)).collect();
+            session.add_constraint(&row, Cmp::Le, total * 0.85);
+            lp.add_constraint(row, Cmp::Le, total * 0.85);
+            solution = session.minimize(&objective);
+            let reference = oracle::solve(&lp);
+            assert_eq!(reference.status, LpStatus::Optimal, "n={n} cut {cut}");
+            assert_eq!(solution.status, LpStatus::Optimal, "n={n} cut {cut}");
+            assert!(
+                (solution.objective - reference.objective).abs()
+                    <= TOL * (1.0 + reference.objective.abs()),
+                "n={n} cut {cut}: warm {} vs oracle {}",
+                solution.objective,
+                reference.objective
+            );
+            assert!(solution.stats.dual_pivots > 0, "n={n} cut {cut}");
+            flips += solution.stats.bound_flips;
+            compactions += solution.stats.eta_compactions;
+        }
     }
+    assert!(flips > 0, "no bound flips across the boxed family");
+    assert!(
+        compactions > 0,
+        "no Forrest–Tomlin compaction across the family"
+    );
 }
 
 /// Per-component tolerance for hyper-sparse vs dense-scan kernels: both run
@@ -301,7 +172,7 @@ proptest! {
         vars in 1usize..6,
     ) {
         let (lp, _ids) = decode(&seed, vars);
-        let tuning = SolverTuning::with_factor(FactorKind::Lu);
+        let tuning = SolverTuning::default();
         // Infeasible/unbounded decodes have no basis to probe.
         let Some(mut fx) = cma_lp::bench_support::KernelFixture::solve(&lp, &tuning) else {
             return;

@@ -1,64 +1,18 @@
-//! Property tests pinning the presolve pass and the pricing rules to the
-//! plain dense reference solver on randomly generated LPs.
-//!
-//! * **presolve round-trip** — presolve → solve → postsolve must agree with
-//!   a direct (presolve-free) solve on status and optimal objective, and the
-//!   postsolved point must satisfy every *original* constraint and domain
-//!   (the reductions may rewrite the system, never the answer);
-//! * **pricing agreement** — every pricing rule, on either backend, reaches
-//!   the same optimal objective (pricing changes the pivot path, never the
-//!   optimum).
+//! Property test pinning the presolve pass to the presolve-free solve on
+//! randomly generated LPs: presolve → solve → postsolve must agree with a
+//! direct solve on status and optimal objective, and the postsolved point
+//! must satisfy every *original* constraint and domain (the reductions may
+//! rewrite the system, never the answer).  (Pricing agreement used to live
+//! here too; there is one pricing rule left, pinned to the independent
+//! oracle in `dense_sparse_agreement.rs`.)
 
-use cma_lp::{
-    Cmp, LpBackend, LpProblem, LpStatus, LpVarId, PricingRule, SimplexBackend, SolverTuning,
-    SparseBackend, TunedBackend,
-};
+mod common;
+
+use cma_lp::{Cmp, LpBackend, LpProblem, LpStatus, LpVarId, SparseBackend};
+use common::{decode, statuses_agree};
 use proptest::prelude::*;
 
 const TOL: f64 = 1e-5;
-
-/// Deterministically decodes a generated seed vector into an LP (same shape
-/// as `dense_sparse_agreement`): a mix of free/non-negative variables,
-/// Le/Ge/Eq rows with small half-integer coefficients, and a signed
-/// objective.  Infeasible and unbounded instances are generated on purpose.
-/// Singleton and duplicate rows — exactly what presolve rewrites — occur
-/// naturally at small variable counts.
-fn decode(seed: &[(f64, f64, f64)], vars: usize) -> (LpProblem, Vec<LpVarId>) {
-    let mut lp = LpProblem::new();
-    let ids: Vec<LpVarId> = (0..vars)
-        .map(|i| lp.add_var(format!("v{i}"), i % 3 == 0))
-        .collect();
-    for (i, &(a, b, c)) in seed.iter().enumerate() {
-        let terms: Vec<(LpVarId, f64)> = ids
-            .iter()
-            .enumerate()
-            .map(|(j, &v)| (v, ((a * (j as f64 + 1.0) + b).sin() * 4.0).round() / 2.0))
-            .filter(|&(_, coeff)| coeff != 0.0)
-            .collect();
-        let cmp = match i % 3 {
-            0 => Cmp::Le,
-            1 => Cmp::Ge,
-            _ => Cmp::Eq,
-        };
-        if terms.is_empty() {
-            continue;
-        }
-        lp.add_constraint(terms, cmp, (c * 10.0).round() / 2.0);
-    }
-    lp.set_objective(
-        ids.iter()
-            .enumerate()
-            .map(|(j, &v)| (v, if j % 2 == 0 { 1.0 } else { 0.5 }))
-            .collect(),
-    );
-    (lp, ids)
-}
-
-fn statuses_agree(a: &cma_lp::LpSolution, b: &cma_lp::LpSolution) -> bool {
-    a.status == b.status
-        || a.status == LpStatus::BudgetExhausted
-        || b.status == LpStatus::BudgetExhausted
-}
 
 /// Checks that `solution` satisfies every constraint and domain of the
 /// *original* problem within tolerance.
@@ -95,65 +49,26 @@ proptest! {
         vars in 1usize..6,
     ) {
         let (lp, ids) = decode(&seed, vars);
-        // Direct reference: the raw dense tableau, no presolve wrapper.
+        // Direct reference: the one-shot solve, no presolve wrapper.
         let direct = lp.solve();
-        for backend in [&SimplexBackend as &dyn LpBackend, &SparseBackend] {
-            let presolved = TunedBackend::new(backend, SolverTuning::default()).solve(&lp);
+        let presolved = SparseBackend.solve(&lp);
+        prop_assert!(
+            statuses_agree(&direct, &presolved),
+            "status mismatch under presolve: direct {:?} vs presolved {:?}",
+            direct.status,
+            presolved.status
+        );
+        if direct.status == LpStatus::Optimal && presolved.status == LpStatus::Optimal {
             prop_assert!(
-                statuses_agree(&direct, &presolved),
-                "status mismatch under presolve: direct {:?} vs {} {:?}",
-                direct.status,
-                backend.name(),
-                presolved.status
+                (direct.objective - presolved.objective).abs()
+                    <= TOL * (1.0 + direct.objective.abs()),
+                "objective mismatch under presolve: direct {} vs presolved {}",
+                direct.objective,
+                presolved.objective
             );
-            if direct.status == LpStatus::Optimal && presolved.status == LpStatus::Optimal {
-                prop_assert!(
-                    (direct.objective - presolved.objective).abs()
-                        <= TOL * (1.0 + direct.objective.abs()),
-                    "objective mismatch under presolve: direct {} vs {} {}",
-                    direct.objective,
-                    backend.name(),
-                    presolved.objective
-                );
-                // The postsolved point must satisfy the *original* system.
-                prop_assert_eq!(presolved.values().len(), lp.num_vars());
-                assert_feasible(&lp, &ids, &presolved);
-            }
-        }
-    }
-
-    #[test]
-    fn all_pricing_rules_reach_the_same_optimum(
-        seed in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0), 1..8),
-        vars in 1usize..6,
-    ) {
-        let (lp, ids) = decode(&seed, vars);
-        let reference = lp.solve();
-        for pricing in PricingRule::ALL {
-            for backend in [&SimplexBackend as &dyn LpBackend, &SparseBackend] {
-                let tuned = TunedBackend::new(backend, SolverTuning::with_pricing(pricing));
-                let solution = tuned.solve(&lp);
-                prop_assert!(
-                    statuses_agree(&reference, &solution),
-                    "status mismatch: reference {:?} vs {}/{} {:?}",
-                    reference.status,
-                    backend.name(),
-                    pricing,
-                    solution.status
-                );
-                if reference.status == LpStatus::Optimal && solution.status == LpStatus::Optimal {
-                    prop_assert!(
-                        (reference.objective - solution.objective).abs()
-                            <= TOL * (1.0 + reference.objective.abs()),
-                        "objective mismatch: reference {} vs {}/{} {}",
-                        reference.objective,
-                        backend.name(),
-                        pricing,
-                        solution.objective
-                    );
-                    assert_feasible(&lp, &ids, &solution);
-                }
-            }
+            // The postsolved point must satisfy the *original* system.
+            prop_assert_eq!(presolved.values().len(), lp.num_vars());
+            assert_feasible(&lp, &ids, &presolved);
         }
     }
 }

@@ -8,9 +8,8 @@
 //! Unlike the original spawn-per-scope shim, tasks now run on a **persistent
 //! worker pool**: a fixed set of OS threads created on first use and shared
 //! by every scope for the process lifetime.  Per-task cost drops from an OS
-//! thread spawn (~10 µs) to a queue push, which is what makes intra-solve
-//! parallelism (per-pivot pricing scans, the m seeding btrans of dual
-//! steepest edge) worthwhile at all.  The pool size defaults to
+//! thread spawn (~10 µs) to a queue push, so fanning many small independent
+//! LP solves out over `solve_batch` stays cheap.  The pool size defaults to
 //! `std::thread::available_parallelism` and can be pinned with the
 //! `CMA_POOL_THREADS` environment variable (read once, at first use).
 //!

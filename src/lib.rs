@@ -27,8 +27,8 @@
 //! * [`check`] — the pre-analysis static checker (diagnostics CMA001–CMA007
 //!   and the range facts that prune the derivation);
 //! * [`sim`] — Monte-Carlo operational semantics;
-//! * [`lp`] — the LP solver abstraction ([`LpBackend`]) and the default
-//!   simplex implementation;
+//! * [`lp`] — the LP solver abstraction ([`LpBackend`]) and its sparse
+//!   revised simplex ([`SparseBackend`]);
 //! * [`logic`] — logical contexts and certificates;
 //! * [`inference`] — the central-moment analysis itself;
 //! * [`suite`] — the benchmark programs of the paper's evaluation.
@@ -49,6 +49,11 @@ mod error;
 mod pipeline;
 mod report;
 
+// The cold re-solving reference backend shared with the `cma-lp` tests.
+#[cfg(test)]
+#[path = "../crates/lp/tests/common/cold.rs"]
+mod cold;
+
 pub use error::{CmaError, ResultExt};
 pub use pipeline::Analysis;
 pub use report::{json, AnalysisReport, CheckStats, LpStats, PhaseTimings};
@@ -62,7 +67,7 @@ pub use cma_inference::{
     GroupLpStats, PlanStats, PruningStats, SolveMode, SoundnessReport, TailBound,
 };
 pub use cma_lp::{
-    DualPricing, DualRatio, FactorKind, LpBackend, LpSession, PricingRule, SimplexBackend,
-    SolveStats, SolverTuning, SparseBackend, TunedBackend, WarmStrategy,
+    DualPricing, DualRatio, FactorKind, LpBackend, LpSession, PricingRule, SolveStats,
+    SolverTuning, SparseBackend, WarmStrategy,
 };
 pub use cma_semiring::Interval;

@@ -36,7 +36,7 @@ use cma_inference::{
     analyze_session, analyze_session_resilient, soundness_report_in_session, tail_curve,
     AnalysisOptions, CentralMoments, DegradationStep, SolveMode,
 };
-use cma_lp::{LpBackend, SimplexBackend};
+use cma_lp::{LpBackend, SparseBackend};
 use cma_semiring::poly::Var;
 use cma_suite::Benchmark;
 
@@ -50,7 +50,7 @@ use crate::report::{AnalysisReport, CheckStats, LpStats, PhaseTimings};
 /// its valuation and degree), chain configuration, then call
 /// [`run`](Analysis::run).
 #[derive(Debug, Clone)]
-pub struct Analysis<B: LpBackend = SimplexBackend> {
+pub struct Analysis<B: LpBackend = SparseBackend> {
     program: Program,
     label: Option<String>,
     options: AnalysisOptions,
@@ -67,15 +67,15 @@ pub struct Analysis<B: LpBackend = SimplexBackend> {
     source: Option<String>,
 }
 
-impl Analysis<SimplexBackend> {
+impl Analysis<SparseBackend> {
     /// A pipeline over an already-constructed program, with default options
-    /// (degree 2, global mode, simplex backend).
+    /// (degree 2, global mode, [`SparseBackend`]).
     pub fn of(program: &Program) -> Self {
         Analysis {
             program: program.clone(),
             label: None,
             options: AnalysisOptions::degree(2),
-            backend: SimplexBackend,
+            backend: SparseBackend,
             tail_thresholds: None,
             check_soundness: true,
             escalate_from: None,
@@ -181,44 +181,17 @@ impl<B: LpBackend> Analysis<B> {
         self
     }
 
-    /// Sets the LP pricing rule (devex by default; dantzig restores the
-    /// pre-devex behavior, partial prices wide systems in sections).
-    pub fn pricing(mut self, pricing: cma_lp::PricingRule) -> Self {
-        self.options.pricing = pricing;
-        self
-    }
-
     /// Enables or disables the LP presolve pass (enabled by default).
     pub fn presolve(mut self, presolve: bool) -> Self {
         self.options.presolve = presolve;
         self
     }
 
-    /// Sets the LP basis factorization (dense `B⁻¹` by default; `lu` solves
-    /// with a Markowitz LU plus eta-file updates).
+    /// Sets the LP basis factorization.  LU is the only one, so this
+    /// changes nothing; it stays only for the benchmark crate, which pins
+    /// it explicitly.
     pub fn factor(mut self, factor: cma_lp::FactorKind) -> Self {
         self.options.factor = factor;
-        self
-    }
-
-    /// Sets the warm re-solve strategy for incremental LP rows (dual-simplex
-    /// pivots by default; `phase1` restores the legacy restart).
-    pub fn warm_resolve(mut self, warm: cma_lp::WarmStrategy) -> Self {
-        self.options.warm_resolve = warm;
-        self
-    }
-
-    /// Sets the dual leaving-row pricing (devex by default; `steepest` buys
-    /// exact edge norms at one extra solve per pivot).
-    pub fn dual_pricing(mut self, pricing: cma_lp::DualPricing) -> Self {
-        self.options.dual_pricing = pricing;
-        self
-    }
-
-    /// Sets the dual ratio test (long-step bound-flipping by default;
-    /// `harris` restores the classic min-ratio test).
-    pub fn dual_ratio(mut self, ratio: cma_lp::DualRatio) -> Self {
-        self.options.dual_ratio = ratio;
         self
     }
 
@@ -503,7 +476,7 @@ mod tests {
         // Fig. 1(b) at d = 10: E[tick] <= 24, V[tick] <= 248.
         assert!(report.mean().hi() <= 24.0 + 1e-3);
         assert!(report.variance_upper().unwrap() <= 248.0 + 1e-2);
-        assert_eq!(report.backend, "dense-simplex");
+        assert_eq!(report.backend, "sparse-revised-simplex");
         assert_eq!(report.degree, 2);
         assert!(report.lp.variables > 0 && report.lp.constraints > 0);
         assert_eq!(report.lp.solves, 1);
@@ -545,8 +518,8 @@ mod tests {
         assert!(report.tail[1].probability <= report.tail[0].probability);
     }
 
-    /// A third-party backend wrapping the dense reference in sessions that
-    /// count their `minimize` calls — the pluggable seam exercised end to
+    /// A third-party backend wrapping the production backend in sessions
+    /// that count their `minimize` calls — the pluggable seam exercised end to
     /// end, including the required-`open` contract.  Backends must be
     /// `Sync`, hence the atomic.
     struct CountingBackend(std::sync::atomic::AtomicUsize);
@@ -593,7 +566,7 @@ mod tests {
 
         fn open<'a>(&'a self, problem: &LpProblem) -> Box<dyn cma_lp::LpSession + 'a> {
             Box::new(CountingSession {
-                inner: SimplexBackend.open(problem),
+                inner: SparseBackend.open(problem),
                 minimizes: &self.0,
             })
         }
@@ -608,9 +581,9 @@ mod tests {
             .unwrap();
         assert_eq!(report.backend, "counting-simplex");
         // Inference minimized once; the soundness extension re-minimizes —
-        // in place when the inner session warm-resolves, or through a
-        // standalone subproblem session (this dense wrapper's case) — so a
-        // counted `minimize` happens at least twice either way.
+        // in place when the inner session warm-resolves (this wrapper's
+        // case), or through a standalone subproblem session — so a counted
+        // `minimize` happens at least twice either way.
         assert!(report.soundness.is_some());
         assert_eq!(report.lp.solves, 1);
         let uses = backend.0.load(std::sync::atomic::Ordering::SeqCst);
@@ -618,19 +591,19 @@ mod tests {
     }
 
     #[test]
-    fn sparse_backend_matches_dense_through_the_pipeline() {
-        let dense = Analysis::benchmark(&running::rdwalk())
-            .soundness(false)
-            .run()
-            .unwrap();
+    fn sparse_backend_matches_cold_resolves_through_the_pipeline() {
         let sparse = Analysis::benchmark(&running::rdwalk())
-            .backend(cma_lp::SparseBackend)
             .soundness(false)
             .run()
             .unwrap();
-        assert_eq!(sparse.backend, "sparse-revised-simplex");
-        assert!((dense.mean().hi() - sparse.mean().hi()).abs() < 1e-4);
-        assert!((dense.variance_upper().unwrap() - sparse.variance_upper().unwrap()).abs() < 1e-2);
+        let cold = Analysis::benchmark(&running::rdwalk())
+            .backend(crate::cold::ColdBackend)
+            .soundness(false)
+            .run()
+            .unwrap();
+        assert_eq!(cold.backend, "cold-resolve");
+        assert!((cold.mean().hi() - sparse.mean().hi()).abs() < 1e-4);
+        assert!((cold.variance_upper().unwrap() - sparse.variance_upper().unwrap()).abs() < 1e-2);
     }
 
     #[test]
@@ -645,12 +618,12 @@ mod tests {
             .main(call("geo"))
             .build()
             .unwrap();
-        let dense = Analysis::of(&program).run().unwrap();
-        let sparse = Analysis::of(&program)
-            .backend(cma_lp::SparseBackend)
+        let sparse = Analysis::of(&program).run().unwrap();
+        let cold = Analysis::of(&program)
+            .backend(crate::cold::ColdBackend)
             .run()
             .unwrap();
-        for report in [&dense, &sparse] {
+        for report in [&sparse, &cold] {
             let s = report.soundness.as_ref().unwrap();
             assert!(s.reused_constraint_store);
             assert!(s.extension_constraints > 0);
@@ -886,7 +859,7 @@ mod tests {
             "\"label\":\"rdwalk\"",
             "\"degree\":2",
             "\"mode\":\"global\"",
-            "\"backend\":\"dense-simplex\"",
+            "\"backend\":\"sparse-revised-simplex\"",
             "\"parallelism\":1",
             "\"poly_degree\":1",
             "\"poly_retries\":0",

@@ -127,8 +127,7 @@ pub struct LpStats {
     pub presolve_rows: usize,
     /// Total LP columns removed by presolve (fixed or unreferenced).
     pub presolve_cols: usize,
-    /// Total product-form eta updates appended by the LU factorization
-    /// (0 under the dense inverse).
+    /// Total Forrest–Tomlin updates applied to the LU factorization.
     pub etas: usize,
     /// Total dual-simplex pivots spent on warm incremental-row re-solves.
     pub dual_pivots: usize,
@@ -205,9 +204,9 @@ pub struct AnalysisReport {
     pub mode: SolveMode,
     /// Name of the LP backend that solved the programs.
     pub backend: String,
-    /// Pricing rule the backend solved with (`dantzig`, `devex`, `partial`).
+    /// Pricing rule the backend solved with (always `devex`).
     pub pricing: String,
-    /// Basis factorization the backend solved with (`dense`, `lu`).
+    /// Basis factorization the backend solved with (always `lu`).
     pub factor: String,
     /// Worker threads used for independent group solves (1 = sequential).
     pub parallelism: usize,

@@ -1,14 +1,22 @@
-//! Dense-vs-sparse agreement over the entire benchmark suite: for every
-//! benchmark of the paper's evaluation, the [`SparseBackend`] must reach the
-//! same verdict as the dense reference — same analyzability, and bounds that
-//! agree within numerical tolerance.  This is the end-to-end counterpart of
-//! the random-LP property test in `crates/lp/tests/dense_sparse_agreement.rs`.
+//! Warm-vs-cold agreement over the entire benchmark suite: for every
+//! benchmark of the paper's evaluation, the production [`SparseBackend`]
+//! (warm sessions, dual re-solves) must reach the same verdict as the cold
+//! reference backend that re-solves every `minimize` from scratch — same
+//! analyzability, and bounds that agree within numerical tolerance.  This
+//! is the end-to-end counterpart of the random-LP property tests in
+//! `crates/lp/tests/`, which pin the solver itself to an independent
+//! dense-tableau oracle.
 
-use central_moment_analysis::{suite, Analysis, SimplexBackend, SparseBackend};
+use central_moment_analysis::{suite, Analysis, LpBackend, SparseBackend};
 
-/// Relative tolerance for bound agreement: both solvers are f64 simplex
-/// variants with different pivot orders, so optima can differ in the last
-/// few digits on ill-conditioned instances.
+#[path = "../crates/lp/tests/common/cold.rs"]
+mod cold;
+
+use cold::ColdBackend;
+
+/// Relative tolerance for bound agreement: both paths are f64 simplex runs
+/// with different pivot orders, so optima can differ in the last few digits
+/// on ill-conditioned instances.
 const REL_TOL: f64 = 1e-4;
 
 fn close(a: f64, b: f64) -> bool {
@@ -19,34 +27,34 @@ fn close(a: f64, b: f64) -> bool {
 }
 
 #[test]
-fn sparse_backend_agrees_with_dense_on_every_suite_benchmark() {
+fn sparse_backend_agrees_with_cold_resolves_on_every_suite_benchmark() {
     let mut analyzed = 0usize;
     let mut skipped = Vec::new();
     for benchmark in suite::all_benchmarks() {
         let id = benchmark.qualified_name();
-        let dense = Analysis::benchmark(&benchmark).soundness(false).run();
-        let sparse = Analysis::benchmark(&benchmark)
+        let cold = Analysis::benchmark(&benchmark)
             .soundness(false)
-            .backend(SparseBackend)
+            .backend(ColdBackend)
             .run();
-        match (dense, sparse) {
-            (Ok(d), Ok(s)) => {
+        let sparse = Analysis::benchmark(&benchmark).soundness(false).run();
+        match (cold, sparse) {
+            (Ok(c), Ok(s)) => {
                 analyzed += 1;
                 for k in 0..=benchmark.degree {
-                    let (di, si) = (d.raw_moment(k), s.raw_moment(k));
+                    let (ci, si) = (c.raw_moment(k), s.raw_moment(k));
                     assert!(
-                        close(di.lo(), si.lo()) && close(di.hi(), si.hi()),
-                        "{id}: E[C^{k}] bounds diverged: dense [{}, {}] vs sparse [{}, {}]",
-                        di.lo(),
-                        di.hi(),
+                        close(ci.lo(), si.lo()) && close(ci.hi(), si.hi()),
+                        "{id}: E[C^{k}] bounds diverged: cold [{}, {}] vs sparse [{}, {}]",
+                        ci.lo(),
+                        ci.hi(),
                         si.lo(),
                         si.hi()
                     );
                 }
             }
             (Err(_), Err(_)) => skipped.push(id), // both agree: not analyzable
-            (Ok(_), Err(e)) => panic!("{id}: dense analyzable but sparse failed: {e}"),
-            (Err(e), Ok(_)) => panic!("{id}: sparse analyzable but dense failed: {e}"),
+            (Ok(_), Err(e)) => panic!("{id}: cold analyzable but sparse failed: {e}"),
+            (Err(e), Ok(_)) => panic!("{id}: sparse analyzable but cold failed: {e}"),
         }
     }
     assert!(
@@ -55,14 +63,12 @@ fn sparse_backend_agrees_with_dense_on_every_suite_benchmark() {
     );
 }
 
-/// The one-shot `solve` of both backends also agrees behind `&dyn` — the
-/// form the engine actually uses.
+/// Both backends also agree behind `&dyn` — the form the engine actually
+/// uses.
 #[test]
 fn dyn_backends_agree_on_the_running_example() {
-    use central_moment_analysis::LpBackend;
-
     let benchmark = suite::running::rdwalk();
-    let backends: [&dyn LpBackend; 2] = [&SimplexBackend, &SparseBackend];
+    let backends: [&dyn LpBackend; 2] = [&ColdBackend, &SparseBackend];
     let bounds: Vec<f64> = backends
         .iter()
         .map(|b| {

@@ -196,9 +196,9 @@ fn engine_entry_point_agrees_with_the_facade() {
     // low-level callers and facade users never diverge.
     fn direct(b: &Benchmark) -> central_moment_analysis::Interval {
         use central_moment_analysis::inference::{analyze_with, AnalysisOptions};
-        use central_moment_analysis::SimplexBackend;
+        use central_moment_analysis::SparseBackend;
         let options = AnalysisOptions::degree(2).with_valuation(b.valuation.clone());
-        analyze_with(&b.program, &options, &SimplexBackend)
+        analyze_with(&b.program, &options, &SparseBackend)
             .unwrap()
             .raw_moment_at(1, &b.valuation)
     }

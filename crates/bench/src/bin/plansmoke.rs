@@ -24,7 +24,7 @@
 //! Exits nonzero (panics) on any violated budget, failing the CI job.
 
 use central_moment_analysis::inference::{
-    analyze_session, analyze_with, soundness_report_in_session, AnalysisOptions,
+    analyze_session_resilient, soundness_report_in_session, AnalysisOptions,
 };
 use central_moment_analysis::suite::running;
 use central_moment_analysis::{SolveMode, SparseBackend};
@@ -42,13 +42,14 @@ fn main() {
         .with_valuation(benchmark.valuation.clone());
 
     // --- Guard 1: degree 1 -> 2 escalation matches from-scratch. ----------
-    let (_, mut session) =
-        analyze_session(&benchmark.program, &options, &SparseBackend).expect("rdwalk at degree 1");
+    let (_, mut session) = analyze_session_resilient(&benchmark.program, &options, &SparseBackend)
+        .expect("rdwalk at degree 1");
     let escalated = session.escalate_degree(2).expect("rdwalk escalates to 2");
     let mut scratch_options = options.clone();
     scratch_options.degree = 2;
-    let scratch =
-        analyze_with(&benchmark.program, &scratch_options, &SparseBackend).expect("degree 2");
+    let (scratch, _) =
+        analyze_session_resilient(&benchmark.program, &scratch_options, &SparseBackend)
+            .expect("degree 2");
     for k in 0..=2 {
         let e = escalated.raw_moment_at(k, &benchmark.valuation);
         let s = scratch.raw_moment_at(k, &benchmark.valuation);
@@ -74,7 +75,8 @@ fn main() {
     let (base, mut session) = {
         let mut o = options.clone();
         o.degree = 2;
-        analyze_session(&benchmark.program, &o, &SparseBackend).expect("rdwalk at degree 2")
+        analyze_session_resilient(&benchmark.program, &o, &SparseBackend)
+            .expect("rdwalk at degree 2")
     };
     assert_eq!(base.lp_solves, 1);
     let escalated = session
@@ -120,7 +122,8 @@ fn main() {
         o
     };
     let (_, mut shared_session) =
-        analyze_session(&benchmark.program, &soundness_options, &SparseBackend).expect("rdwalk");
+        analyze_session_resilient(&benchmark.program, &soundness_options, &SparseBackend)
+            .expect("rdwalk");
     let shared = soundness_report_in_session(&mut shared_session, &benchmark.program, 2);
     assert!(shared.is_sound(), "rdwalk is sound");
     assert!(
@@ -129,7 +132,7 @@ fn main() {
     );
 
     let (_, mut disjoint_session) =
-        analyze_session(&benchmark.program, &soundness_options, &cold::ColdBackend)
+        analyze_session_resilient(&benchmark.program, &soundness_options, &cold::ColdBackend)
             .expect("rdwalk");
     let disjoint = soundness_report_in_session(&mut disjoint_session, &benchmark.program, 2);
     assert!(disjoint.is_sound(), "rdwalk is sound (disjoint)");

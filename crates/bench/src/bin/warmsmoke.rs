@@ -16,7 +16,7 @@
 //! Exits nonzero (panics) on any violated budget, failing the CI job.
 
 use central_moment_analysis::inference::{
-    analyze_session, soundness_report_in_session, AnalysisOptions,
+    analyze_session_resilient, soundness_report_in_session, AnalysisOptions,
 };
 use central_moment_analysis::lp::LpBackend;
 use central_moment_analysis::suite::{synthetic, Benchmark};
@@ -79,7 +79,7 @@ fn main() {
 
     // --- Scenario 2: the real in-session soundness extension. ------------
     let (_result, mut engine_session) =
-        analyze_session(&benchmark.program, &options, &SparseBackend)
+        analyze_session_resilient(&benchmark.program, &options, &SparseBackend)
             .expect("walk-chain analyzable");
     let report = soundness_report_in_session(&mut engine_session, &benchmark.program, 2);
     assert!(

@@ -268,7 +268,7 @@ pub enum AnalysisError {
     /// A previous failed escalation or extension left rows without an
     /// optimum in the live solver session (appended rows cannot be
     /// retracted); no further in-session operation is possible — start a
-    /// fresh [`analyze_session`].
+    /// fresh [`analyze_session_resilient`].
     SessionPoisoned,
 }
 
@@ -478,10 +478,12 @@ pub struct AnalysisResult {
     /// (all-zero when [`AnalysisOptions::range_facts`] is unset).
     pub pruning: PruningStats,
     /// Degradation-ladder rungs descended to produce this result (empty for
-    /// a full-precision run; only [`analyze_session_resilient`] ever records
-    /// any).
+    /// a full-precision run; an escalated result carries the rungs its
+    /// session's driver took).
     pub degradation: DegradationStats,
-    /// Wall-clock time spent in the analysis.
+    /// Wall-clock time of the whole driver run that produced this result —
+    /// every attempt, poly-degree retry and degradation rung (for an
+    /// in-place escalation, the escalation itself).
     pub elapsed: Duration,
 }
 
@@ -646,23 +648,7 @@ impl AnalysisResult {
     }
 }
 
-/// Analyzes a program, deriving symbolic interval bounds on the raw moments
-/// `E[C^k]`, `k ≤ m`, of its accumulated cost, solving every generated linear
-/// program with the given [`LpBackend`].
-///
-/// # Errors
-///
-/// Returns [`AnalysisError`] when constraint generation fails or the LP has no
-/// solution under the chosen template degrees.
-pub fn analyze_with(
-    program: &Program,
-    options: &AnalysisOptions,
-    backend: &dyn LpBackend,
-) -> Result<AnalysisResult, AnalysisError> {
-    analyze_session(program, options, backend).map(|(result, _session)| result)
-}
-
-/// The engine state kept alive after [`analyze_session`]: the main group's
+/// The engine state kept alive after [`analyze_session_resilient`]: the main group's
 /// [`ConstraintStore`](crate::store::ConstraintStore) (inside its builder)
 /// and the open solver session over it.
 ///
@@ -686,6 +672,8 @@ pub struct AnalysisSession<'a> {
     extension_constraints: usize,
     extension_shared_columns: usize,
     extension_stats: SolveStats,
+    degradation: DegradationStats,
+    deadline: Option<Instant>,
 }
 
 impl<'a> AnalysisSession<'a> {
@@ -724,8 +712,7 @@ impl<'a> AnalysisSession<'a> {
     }
 
     /// Solver-effort counters of the extension minimizes (in particular
-    /// `dual_pivots`: how many dual-simplex pivots the warm re-solves took
-    /// instead of a phase-1 restart).
+    /// `dual_pivots`: how many dual-simplex pivots the warm re-solves took).
     pub fn extension_stats(&self) -> SolveStats {
         self.extension_stats
     }
@@ -734,14 +721,13 @@ impl<'a> AnalysisSession<'a> {
     /// existing constraint store and minimizes the extension's own
     /// objective, without re-deriving or re-solving the main system.
     ///
-    /// Under the default dual warm-resolve strategy — and when the open
-    /// session actually repairs appended rows in place
-    /// ([`LpSession::warm_resolves_in_place`], true for the sparse core) —
+    /// When the open session repairs appended rows in place
+    /// ([`LpSession::warm_resolves_in_place`], true for the sparse core),
     /// the increment is flushed into the open main session and re-minimized
     /// **in place**: the session's optimal basis stays dual feasible when
     /// rows are appended, so the extension solves through dual-simplex
-    /// pivots (visible in [`extension_stats`](Self::extension_stats))
-    /// instead of a phase-1 restart.  Otherwise a variable-disjoint
+    /// pivots (visible in [`extension_stats`](Self::extension_stats)).
+    /// Otherwise a variable-disjoint
     /// extension is extracted and solved as a standalone subsystem of the
     /// shared store ([`crate::ConstraintStore::subproblem`]); an extension that
     /// references main-system variables always takes the flush path.
@@ -907,8 +893,8 @@ impl<'a> AnalysisSession<'a> {
     /// template columns back the components `≤ m` verbatim and only the new
     /// components `m+1..=target` mint columns and emit rows, which are
     /// flushed into the live solver session and re-minimized warm (dual
-    /// pivots from the still-dual-feasible basis — no cold re-derive, no
-    /// phase-1 restart on the happy path).
+    /// pivots from the still-dual-feasible basis — no cold re-derive on the
+    /// happy path).
     ///
     /// The escalated system is *identical* (modulo column/row order) to a
     /// from-scratch degree-`target` derivation: component-`k` rows are
@@ -919,16 +905,21 @@ impl<'a> AnalysisSession<'a> {
     ///
     /// Compositional sessions freeze resolved callee specifications per
     /// degree and cannot extend them in place: they fall back to a cold
-    /// re-analysis (reported via [`EscalationStats::cold_restarts`]).  An
-    /// infeasible escalated system retries `d → d+1` when
-    /// [`AnalysisOptions::max_poly_degree`] allows, re-instantiating the
-    /// plan into a fresh session.
+    /// re-analysis (reported via [`EscalationStats::cold_restarts`]).  A
+    /// failed in-place re-minimize is handed to the same driver as
+    /// [`analyze_session_resilient`], which takes its one step in a fresh
+    /// session: an infeasible system retries `d → d+1` when
+    /// [`AnalysisOptions::max_poly_degree`] allows (re-instantiating the
+    /// plan), an exhausted budget descends a degradation rung.  Cold
+    /// re-analyses run under the session's deadline and below the rungs it
+    /// already took.
     ///
     /// # Errors
     ///
     /// [`AnalysisError::InvalidEscalation`] when `target` does not exceed
     /// the current degree, [`AnalysisError::LpFailed`] when the escalated
-    /// system has no optimum (after any permitted poly-degree retries).
+    /// system has no optimum (after any permitted poly-degree retries and
+    /// degradation rungs).
     pub fn escalate_degree(&mut self, target: usize) -> Result<AnalysisResult, AnalysisError> {
         let from_degree = self.options.degree;
         if target <= from_degree {
@@ -952,7 +943,7 @@ impl<'a> AnalysisSession<'a> {
         if self.options.mode == SolveMode::Compositional {
             // Resolved callee specs have no components above `from_degree`;
             // re-run the compositional pipeline cold at the target degree.
-            return self.escalate_cold(options, from_degree, 0);
+            return self.escalate_cold(options, from_degree, None);
         }
 
         let start = Instant::now();
@@ -990,23 +981,17 @@ impl<'a> AnalysisSession<'a> {
         self.minimizes += 1;
 
         if !solution.is_optimal() {
-            let max_d = options.max_poly_degree.unwrap_or(options.poly_degree);
-            if solution.status == LpStatus::Infeasible && options.poly_degree < max_d {
-                // Templates too weak at this poly degree: bump `d` and
-                // re-instantiate the plan into a fresh store and session.
-                options.poly_degree += 1;
-                return self.escalate_cold(options, from_degree, 1);
-            }
-            // The escalated rows are irreversibly part of the live session
-            // and the system has no optimum: the session cannot be ridden
-            // any further.
-            self.poisoned = true;
-            return Err(AnalysisError::LpFailed {
+            // The escalated rows are irreversibly part of the live session,
+            // which cannot be ridden any further: the driver takes its one
+            // step from this failed attempt in a fresh session (a `d+1`
+            // retry or a degradation rung) or reports it.
+            let failed = AnalysisError::LpFailed {
                 status: solution.status,
                 group: final_group,
                 degree: target,
                 poly_degree: options.poly_degree,
-            });
+            };
+            return self.escalate_cold(options, from_degree, Some(failed));
         }
 
         let plan_delta = self.builder.plan().stats().since(&plan_before);
@@ -1024,29 +1009,13 @@ impl<'a> AnalysisSession<'a> {
             cold_restarts: 0,
             poly_retries: 0,
         };
-        self.groups.push(GroupLpStats {
-            name: format!("escalate({from_degree}->{target})"),
-            functions: final_group.clone(),
-            variables: appended_variables,
-            constraints: appended_constraints,
-            iterations: solution.stats.iterations,
-            refactorizations: solution.stats.refactorizations,
-            presolve_rows: solution.stats.presolve_rows,
-            presolve_cols: solution.stats.presolve_cols,
-            etas: solution.stats.etas,
-            dual_pivots: solution.stats.dual_pivots,
-            bound_flips: solution.stats.bound_flips,
-            eta_compactions: solution.stats.eta_compactions,
-            eta_len: solution.stats.eta_len,
-            ftran_ns: solution.stats.ftran_ns,
-            btran_ns: solution.stats.btran_ns,
-            pricing_ns: solution.stats.pricing_ns,
-            ratio_ns: solution.stats.ratio_ns,
-            hyper_sparse_ftrans: solution.stats.hyper_sparse_ftrans,
-            hyper_sparse_btrans: solution.stats.hyper_sparse_btrans,
-            dense_fallbacks: solution.stats.dense_fallbacks,
-            kernel_allocs: solution.stats.kernel_allocs,
-        });
+        self.groups.push(group_lp_stats(
+            format!("escalate({from_degree}->{target})"),
+            final_group.clone(),
+            appended_variables,
+            appended_constraints,
+            solution.stats,
+        ));
 
         let outcome = extract_outcome(build, &solution, &final_group, true, &options)?;
         let main_bounds = outcome
@@ -1071,37 +1040,47 @@ impl<'a> AnalysisSession<'a> {
             plan: self.builder.plan().stats(),
             escalation: Some(escalation),
             pruning: self.pruning,
-            degradation: DegradationStats::default(),
+            degradation: self.degradation.clone(),
             elapsed: start.elapsed(),
         })
     }
 
-    /// Cold escalation path: re-analyzes at the target degree (and poly
-    /// degree) in a fresh session — seeded with the recorded plan so the
-    /// skeleton still replays — and swaps the fresh session into `self`.
+    /// Cold escalation path: re-runs [`drive`] at the target degree —
+    /// seeded with the recorded plan so the skeleton still replays, under
+    /// the session's deadline and degradation, and starting from the
+    /// `failed` in-place attempt if there was one — and swaps the fresh
+    /// session into `self`.
     fn escalate_cold(
         &mut self,
         options: AnalysisOptions,
         from_degree: usize,
-        extra_poly_retries: usize,
+        failed: Option<AnalysisError>,
     ) -> Result<AnalysisResult, AnalysisError> {
         let prior_retries = self.poly_retries;
         let mut plans = BTreeMap::new();
         plans.insert(FINAL_PLAN_KEY.to_string(), self.builder.take_plan());
-        let (mut result, fresh) =
-            match analyze_session_seeded(self.program, &options, self.backend, plans) {
-                Ok(ok) => ok,
-                Err(e) => {
-                    // The plan was consumed by the failed re-analysis; a
-                    // later in-place replay against the emptied plan would
-                    // re-emit the whole system into the old store.
-                    self.poisoned = true;
-                    return Err(e);
-                }
-            };
+        let steps = self.degradation.steps.clone();
+        let (mut result, fresh) = match drive(
+            self.program,
+            &options,
+            self.backend,
+            self.deadline,
+            plans,
+            steps,
+            failed,
+        ) {
+            Ok(ok) => ok,
+            Err(e) => {
+                // The plan was consumed by the failed re-analysis; a
+                // later in-place replay against the emptied plan would
+                // re-emit the whole system into the old store.
+                self.poisoned = true;
+                return Err(e);
+            }
+        };
         // Retries spent *during* this escalation vs the session's cumulative
         // total (which includes the original lower-degree analysis's).
-        let during = result.poly_retries + extra_poly_retries;
+        let during = result.poly_retries;
         result.poly_retries = prior_retries + during;
         result.escalation = Some(EscalationStats {
             from_degree,
@@ -1121,27 +1100,18 @@ impl<'a> AnalysisSession<'a> {
     }
 }
 
-/// [`analyze_with`], additionally returning the live [`AnalysisSession`] so
-/// later phases (the Thm 4.4 soundness check) can extend the constraint
-/// system in place instead of re-deriving it.
+/// Analyzes a program, deriving symbolic interval bounds on the raw moments
+/// `E[C^k]`, `k ≤ m`, of its accumulated cost with every generated linear
+/// program solved by `backend`, and returns the live [`AnalysisSession`] so
+/// later phases (degree escalation, the Thm 4.4 soundness check) can extend
+/// the constraint system in place instead of re-deriving it.
 ///
-/// # Errors
-///
-/// Returns [`AnalysisError`] when constraint generation fails or the LP has no
-/// solution under the chosen template degrees.
-pub fn analyze_session<'a>(
-    program: &'a Program,
-    options: &AnalysisOptions,
-    backend: &'a dyn LpBackend,
-) -> Result<(AnalysisResult, AnalysisSession<'a>), AnalysisError> {
-    analyze_session_seeded(program, options, backend, BTreeMap::new())
-}
-
-/// [`analyze_session`] with a **graceful-degradation ladder**: when an
-/// attempt fails because its [`SolveBudget`] ran out — never on
-/// infeasibility or any other verdict — the analysis retries under
-/// progressively cheaper options, each retry under whatever remains of the
-/// whole-analysis deadline.  The rungs, in order:
+/// An *infeasible* attempt retries `d → d+1` up to
+/// [`AnalysisOptions::max_poly_degree`], re-instantiating the recorded
+/// derivation plans.  An attempt that fails because its [`SolveBudget`] ran
+/// out — never on infeasibility or any other verdict — descends a
+/// **graceful-degradation ladder** instead, each retry under whatever
+/// remains of the whole-analysis deadline.  The rungs, in order:
 ///
 /// 1. global → compositional mode (one small LP per SCC instead of one
 ///    monolithic system);
@@ -1157,101 +1127,110 @@ pub fn analyze_session<'a>(
 /// # Errors
 ///
 /// Returns [`AnalysisError`] when constraint generation fails or the LP has
-/// no solution, and the original budget-exhaustion error when the ladder
-/// runs out of rungs (or of wall clock) without landing an answer.
+/// no solution, and the first budget-exhaustion error when the ladder runs
+/// out of rungs (or of wall clock) without landing an answer.
 pub fn analyze_session_resilient<'a>(
     program: &'a Program,
     options: &AnalysisOptions,
     backend: &'a dyn LpBackend,
 ) -> Result<(AnalysisResult, AnalysisSession<'a>), AnalysisError> {
     let deadline = options.timeout.map(|t| Instant::now() + t);
-    let mut attempt = options.clone();
-    let mut steps: Vec<DegradationStep> = Vec::new();
-    let mut mode_rung_tried = attempt.mode != SolveMode::Global;
-    loop {
-        match analyze_session(program, &attempt, backend) {
-            Ok((mut result, session)) => {
-                result.degradation = DegradationStats { steps };
-                return Ok((result, session));
-            }
-            Err(e) => {
-                if !e.budget_exhausted() {
-                    if steps.last() == Some(&DegradationStep::CompositionalMode) {
-                        // The mode rung itself broke the analysis — revert
-                        // it and keep descending the remaining rungs.
-                        attempt.mode = options.mode;
-                        steps.pop();
-                    } else {
-                        return Err(e);
-                    }
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    return Err(e);
-                }
-                if !mode_rung_tried {
-                    mode_rung_tried = true;
-                    attempt.mode = SolveMode::Compositional;
-                    steps.push(DegradationStep::CompositionalMode);
-                } else if attempt.degree > 1 {
-                    steps.push(DegradationStep::ReduceDegree {
-                        from: attempt.degree,
-                        to: attempt.degree - 1,
-                    });
-                    attempt.degree -= 1;
-                } else if !attempt.presolve {
-                    attempt.presolve = true;
-                    steps.push(DegradationStep::EnablePresolve);
-                } else {
-                    return Err(e);
-                }
-                if let Some(d) = deadline {
-                    // The retry gets what is left of the one deadline.
-                    attempt.timeout = Some(d.duration_since(Instant::now()));
-                }
-            }
-        }
-    }
+    drive(
+        program,
+        options,
+        backend,
+        deadline,
+        BTreeMap::new(),
+        Vec::new(),
+        None,
+    )
 }
 
 /// Plan key of the final (session-holding) group in the retry plan store.
 const FINAL_PLAN_KEY: &str = "<final>";
 
-/// [`analyze_session`] seeded with recorded derivation plans (keyed by group
-/// display name, [`FINAL_PLAN_KEY`] for the final group), the engine of both
-/// the automatic poly-degree retry loop and cold degree escalations: each
-/// attempt re-instantiates the surviving plans in refresh mode instead of
-/// recording the skeleton from scratch.
-fn analyze_session_seeded<'a>(
+/// The one analysis driver behind [`analyze_session_resilient`] and every
+/// escalation that leaves the live session.  After each failed attempt —
+/// the first may be an escalation's `failed` in-place one — it takes
+/// exactly one step: `d → d+1` on infeasibility (replaying `plans`, keyed by
+/// group name and [`FINAL_PLAN_KEY`]), one rung below `steps` on an
+/// exhausted budget (dropping the plans and `d`, keyed to the old mode and
+/// degree), or reverting a mode rung that failed otherwise.
+fn drive<'a>(
     program: &'a Program,
     options: &AnalysisOptions,
     backend: &'a dyn LpBackend,
+    deadline: Option<Instant>,
     mut plans: BTreeMap<String, DerivationPlan>,
+    mut steps: Vec<DegradationStep>,
+    mut failed: Option<AnalysisError>,
 ) -> Result<(AnalysisResult, AnalysisSession<'a>), AnalysisError> {
     let start = Instant::now();
-    // One deadline for the whole analysis, shared by every poly-degree
-    // retry: an attempt that exhausts it fails with `BudgetExhausted`,
-    // which `infeasible_at` never matches, so the retry loop stops too.
-    let deadline = options.timeout.map(|t| start + t);
-    let base_d = options.poly_degree;
-    let max_d = options.max_poly_degree.unwrap_or(base_d).max(base_d);
-    let mut poly_retries = 0usize;
+    let max_d = options
+        .max_poly_degree
+        .unwrap_or(0)
+        .max(options.poly_degree);
+    let mut attempt = options.clone();
+    let mut mode_rung_tried = attempt.mode != SolveMode::Global;
+    let mut exhausted = None;
     loop {
-        let mut attempt = options.clone();
-        attempt.poly_degree = base_d + poly_retries as u32;
-        match analyze_attempt(program, &attempt, backend, deadline, &mut plans) {
+        let attempted = match failed.take() {
+            Some(e) => Err(e),
+            None => analyze_attempt(program, &attempt, backend, deadline, &mut plans),
+        };
+        let e = match attempted {
             Ok((mut result, mut session)) => {
+                result.poly_retries = (attempt.poly_degree - options.poly_degree) as usize;
+                result.degradation = DegradationStats { steps };
                 result.elapsed = start.elapsed();
-                result.poly_retries = poly_retries;
-                session.poly_retries = poly_retries;
+                session.poly_retries = result.poly_retries;
+                session.degradation = result.degradation.clone();
                 return Ok((result, session));
             }
-            Err(e) if e.infeasible_at().is_some() && base_d + (poly_retries as u32) < max_d => {
-                // Templates too weak: escalate the base polynomial degree
-                // and re-instantiate the recorded plans.
-                poly_retries += 1;
-            }
-            Err(e) => return Err(e),
+            Err(e) => e,
+        };
+        if e.infeasible_at().is_some() && attempt.poly_degree < max_d {
+            // Templates too weak: escalate the base polynomial degree and
+            // re-instantiate the recorded plans.
+            attempt.poly_degree += 1;
+            continue;
         }
+        if e.budget_exhausted() {
+            exhausted.get_or_insert(e);
+        } else if attempt.mode != options.mode
+            && steps.last() == Some(&DegradationStep::CompositionalMode)
+        {
+            // The mode rung itself broke the analysis — revert it and keep
+            // descending the remaining rungs.
+            attempt.mode = options.mode;
+            steps.pop();
+        } else {
+            return Err(e);
+        }
+        let step = if deadline.is_some_and(|d| Instant::now() >= d) {
+            None
+        } else if !mode_rung_tried {
+            attempt.mode = SolveMode::Compositional;
+            Some(DegradationStep::CompositionalMode)
+        } else if attempt.degree > 1 {
+            attempt.degree -= 1;
+            Some(DegradationStep::ReduceDegree {
+                from: attempt.degree + 1,
+                to: attempt.degree,
+            })
+        } else if !attempt.presolve {
+            attempt.presolve = true;
+            Some(DegradationStep::EnablePresolve)
+        } else {
+            None
+        };
+        let Some(step) = step else {
+            return Err(exhausted.expect("only a budget error opens the ladder"));
+        };
+        mode_rung_tried = true;
+        steps.push(step);
+        plans.clear();
+        attempt.poly_degree = options.poly_degree;
     }
 }
 
@@ -1268,9 +1247,10 @@ fn install_saved_plan(
     }
 }
 
-/// One full derivation + solve pass at fixed options.  Plans of every built
-/// group are stashed back into `plans` before any LP failure is reported, so
-/// the retry loop can re-instantiate them.
+/// One full derivation + solve pass at fixed options (the driver fills in the
+/// run-level fields of the result and session).  Plans of every built group
+/// are stashed back into `plans` before any LP failure is reported, so the
+/// driver can re-instantiate them.
 fn analyze_attempt<'a>(
     program: &'a Program,
     options: &AnalysisOptions,
@@ -1278,7 +1258,6 @@ fn analyze_attempt<'a>(
     deadline: Option<Instant>,
     plans: &mut BTreeMap<String, DerivationPlan>,
 ) -> Result<(AnalysisResult, AnalysisSession<'a>), AnalysisError> {
-    let start = Instant::now();
     let mut resolved: BTreeMap<(String, usize), ResolvedSpec> = BTreeMap::new();
     let mut lp_variables = 0usize;
     let mut lp_constraints = 0usize;
@@ -1323,7 +1302,8 @@ fn analyze_attempt<'a>(
                 group_stats.push(group_lp_stats(
                     group.join("+"),
                     group.clone(),
-                    &builder,
+                    builder.num_vars(),
+                    builder.num_constraints(),
                     solution.stats,
                 ));
                 // Stash the plan before the outcome can fail the attempt.
@@ -1375,7 +1355,8 @@ fn analyze_attempt<'a>(
     group_stats.push(group_lp_stats(
         name.to_string(),
         final_group.clone(),
-        &builder,
+        builder.num_vars(),
+        builder.num_constraints(),
         solution.stats,
     ));
     if !solution.is_optimal() {
@@ -1404,7 +1385,7 @@ fn analyze_attempt<'a>(
         escalation: None,
         pruning,
         degradation: DegradationStats::default(),
-        elapsed: start.elapsed(),
+        elapsed: Duration::ZERO,
     };
     Ok((
         result,
@@ -1424,23 +1405,26 @@ fn analyze_attempt<'a>(
             extension_constraints: 0,
             extension_shared_columns: 0,
             extension_stats: SolveStats::default(),
+            degradation: DegradationStats::default(),
+            deadline,
         },
     ))
 }
 
-/// Assembles one group's LP stats from its builder sizes and the solver
+/// Assembles one group's LP stats from its system size and the solver
 /// counters of its solution.
 fn group_lp_stats(
     name: String,
     functions: Vec<String>,
-    builder: &ConstraintBuilder,
+    variables: usize,
+    constraints: usize,
     stats: SolveStats,
 ) -> GroupLpStats {
     GroupLpStats {
         name,
         functions,
-        variables: builder.num_vars(),
-        constraints: builder.num_constraints(),
+        variables,
+        constraints,
         iterations: stats.iterations,
         refactorizations: stats.refactorizations,
         presolve_rows: stats.presolve_rows,
@@ -1790,6 +1774,7 @@ impl TarjanState<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flaky::FlakyBudget;
     use cma_appl::build::*;
     use cma_lp::SparseBackend;
 
@@ -1823,11 +1808,13 @@ mod tests {
     #[test]
     fn range_facts_prune_the_generated_lp() {
         let (program, facts) = pruned_fixture();
-        let base = analyze_with(&program, &AnalysisOptions::degree(2), &SparseBackend).unwrap();
+        let (base, _) =
+            analyze_session_resilient(&program, &AnalysisOptions::degree(2), &SparseBackend)
+                .unwrap();
         assert!(!base.pruning.any());
 
         let options = AnalysisOptions::degree(2).with_range_facts(Arc::new(facts));
-        let pruned = analyze_with(&program, &options, &SparseBackend).unwrap();
+        let (pruned, _) = analyze_session_resilient(&program, &options, &SparseBackend).unwrap();
         assert_eq!(
             pruned.pruning,
             PruningStats {
@@ -1860,14 +1847,14 @@ mod tests {
         let facts = Arc::new(facts);
         let backend = SparseBackend;
         let options = AnalysisOptions::degree(1).with_range_facts(facts.clone());
-        let (r1, mut session) = analyze_session(&program, &options, &backend).unwrap();
+        let (r1, mut session) = analyze_session_resilient(&program, &options, &backend).unwrap();
         assert_eq!(r1.pruning.refuted_branches, 1);
 
         // In-place escalation replays the pruned plan with the same facts.
         let r2 = session.escalate_degree(2).unwrap();
         assert_eq!(r2.pruning, r1.pruning);
         let cold_options = AnalysisOptions::degree(2).with_range_facts(facts);
-        let cold = analyze_with(&program, &cold_options, &SparseBackend).unwrap();
+        let (cold, _) = analyze_session_resilient(&program, &cold_options, &SparseBackend).unwrap();
         for k in 1..=2 {
             let hot = r2.raw_moment_at(k, &[(Var::new("x"), 1.0)]);
             let ref_b = cold.raw_moment_at(k, &[(Var::new("x"), 1.0)]);
@@ -1944,8 +1931,10 @@ mod tests {
             .unwrap();
         let sequential = AnalysisOptions::degree(2).with_mode(SolveMode::Compositional);
         let parallel = sequential.clone().with_threads(4);
-        let seq_result = analyze_with(&program, &sequential, &SparseBackend).unwrap();
-        let par_result = analyze_with(&program, &parallel, &SparseBackend).unwrap();
+        let (seq_result, _) =
+            analyze_session_resilient(&program, &sequential, &SparseBackend).unwrap();
+        let (par_result, _) =
+            analyze_session_resilient(&program, &parallel, &SparseBackend).unwrap();
         assert_eq!(seq_result.lp_solves, par_result.lp_solves);
         assert_eq!(seq_result.groups, par_result.groups);
         for (s, p) in seq_result.bounds.iter().zip(&par_result.bounds) {
@@ -1960,14 +1949,17 @@ mod tests {
             .main(call("geo"))
             .build()
             .unwrap();
-        let global = analyze_with(&program, &AnalysisOptions::degree(2), &SparseBackend).unwrap();
+        let (global, _) =
+            analyze_session_resilient(&program, &AnalysisOptions::degree(2), &SparseBackend)
+                .unwrap();
         assert_eq!(global.groups.len(), 1);
         assert_eq!(global.groups[0].name, "global");
         assert_eq!(global.groups[0].variables, global.lp_variables);
         assert_eq!(global.groups[0].constraints, global.lp_constraints);
 
         let options = AnalysisOptions::degree(2).with_mode(SolveMode::Compositional);
-        let compositional = analyze_with(&program, &options, &SparseBackend).unwrap();
+        let (compositional, _) =
+            analyze_session_resilient(&program, &options, &SparseBackend).unwrap();
         assert_eq!(compositional.groups.len(), 2);
         assert_eq!(compositional.groups[0].name, "geo");
         assert_eq!(compositional.groups.last().unwrap().name, "main");
@@ -1987,7 +1979,8 @@ mod tests {
             .unwrap();
         let options = AnalysisOptions::degree(2);
         let backend = SparseBackend;
-        let (result, mut session) = analyze_session(&program, &options, &backend).unwrap();
+        let (result, mut session) =
+            analyze_session_resilient(&program, &options, &backend).unwrap();
         assert_eq!(session.minimizes(), 1);
         assert_eq!(session.extension_constraints(), 0);
         // Extend with the program itself (a stand-in for the instrumented
@@ -2020,7 +2013,9 @@ mod tests {
             .main(seq([tick(2.0), tick(3.0)]))
             .build()
             .unwrap();
-        let result = analyze_with(&program, &AnalysisOptions::degree(3), &SparseBackend).unwrap();
+        let (result, _) =
+            analyze_session_resilient(&program, &AnalysisOptions::degree(3), &SparseBackend)
+                .unwrap();
         let intervals = result.raw_intervals_at(&[]);
         assert!((intervals[1].mid() - 5.0).abs() < 1e-6);
         assert!((intervals[2].mid() - 25.0).abs() < 1e-6);
@@ -2036,7 +2031,9 @@ mod tests {
             .main(if_prob(0.5, tick(2.0), tick(4.0)))
             .build()
             .unwrap();
-        let result = analyze_with(&program, &AnalysisOptions::degree(3), &SparseBackend).unwrap();
+        let (result, _) =
+            analyze_session_resilient(&program, &AnalysisOptions::degree(3), &SparseBackend)
+                .unwrap();
         let i = result.raw_intervals_at(&[]);
         assert!((i[1].mid() - 3.0).abs() < 1e-6 && i[1].width() < 1e-6);
         assert!((i[2].mid() - 10.0).abs() < 1e-6);
@@ -2058,7 +2055,9 @@ mod tests {
             .main(call("geo"))
             .build()
             .unwrap();
-        let result = analyze_with(&program, &AnalysisOptions::degree(2), &SparseBackend).unwrap();
+        let (result, _) =
+            analyze_session_resilient(&program, &AnalysisOptions::degree(2), &SparseBackend)
+                .unwrap();
         let i = result.raw_intervals_at(&[]);
         assert!(i[1].lo() <= 2.0 + 1e-6 && i[1].hi() >= 2.0 - 1e-6);
         assert!(i[2].hi() >= 6.0 - 1e-6);
@@ -2082,14 +2081,14 @@ mod tests {
             .build()
             .unwrap();
         let options = AnalysisOptions::degree(2).with_mode(SolveMode::Compositional);
-        match analyze_with(&program, &options, &SparseBackend) {
-            Ok(result) => {
+        match analyze_session_resilient(&program, &options, &SparseBackend) {
+            Ok((result, _)) => {
                 let i = result.raw_intervals_at(&[]);
                 assert!(i[1].hi() >= 6.0 - 1e-6);
             }
             Err(AnalysisError::LpFailed { .. }) => {}
             Err(other) => panic!("unexpected error {other:?}"),
-        }
+        };
     }
 
     #[test]
@@ -2110,81 +2109,6 @@ mod tests {
         assert_eq!(o.group_timeout, Some(Duration::from_secs(5)));
     }
 
-    /// An authentic `BudgetExhausted` solution, produced by a real solve
-    /// under an already-expired deadline (the [`LpSolution`] constructor is
-    /// crate-private to `cma-lp`).
-    fn exhausted_solution() -> LpSolution {
-        use cma_lp::{Cmp, LpProblem};
-        let mut lp = LpProblem::new();
-        let x = lp.add_var("x", false);
-        lp.add_constraint(vec![(x, 1.0)], Cmp::Ge, 1.0);
-        lp.set_objective(vec![(x, 1.0)]);
-        let expired = SolveBudget {
-            deadline: Some(Instant::now() - Duration::from_secs(1)),
-            ..SolveBudget::UNLIMITED
-        };
-        SparseBackend.solve_with(&lp, &SolverTuning::with_budget(expired))
-    }
-
-    /// A backend whose first `failures` minimizes come back budget-exhausted
-    /// and which then behaves exactly like [`SparseBackend`] — the
-    /// deterministic stand-in for "the deadline fired mid-campaign".
-    struct FlakyBudget {
-        failures: std::sync::atomic::AtomicUsize,
-    }
-
-    impl FlakyBudget {
-        fn failing(failures: usize) -> Self {
-            FlakyBudget {
-                failures: std::sync::atomic::AtomicUsize::new(failures),
-            }
-        }
-    }
-
-    struct FlakySession<'a> {
-        inner: Box<dyn LpSession + 'a>,
-        failures: &'a std::sync::atomic::AtomicUsize,
-    }
-
-    impl LpSession for FlakySession<'_> {
-        fn add_var(&mut self, name: &str, free: bool) -> cma_lp::LpVarId {
-            self.inner.add_var(name, free)
-        }
-        fn add_constraint(&mut self, terms: &[(cma_lp::LpVarId, f64)], cmp: cma_lp::Cmp, rhs: f64) {
-            self.inner.add_constraint(terms, cmp, rhs)
-        }
-        fn minimize(&mut self, objective: &[(cma_lp::LpVarId, f64)]) -> LpSolution {
-            use std::sync::atomic::Ordering;
-            let drained = self
-                .failures
-                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                .is_ok();
-            if drained {
-                exhausted_solution()
-            } else {
-                self.inner.minimize(objective)
-            }
-        }
-        fn num_vars(&self) -> usize {
-            self.inner.num_vars()
-        }
-        fn num_constraints(&self) -> usize {
-            self.inner.num_constraints()
-        }
-    }
-
-    impl LpBackend for FlakyBudget {
-        fn name(&self) -> &str {
-            "flaky-budget"
-        }
-        fn open<'a>(&'a self, problem: &cma_lp::LpProblem) -> Box<dyn LpSession + 'a> {
-            Box::new(FlakySession {
-                inner: SparseBackend.open(problem),
-                failures: &self.failures,
-            })
-        }
-    }
-
     fn coin_program() -> Program {
         cma_appl::parse_program("func main() begin if prob(0.5) then tick(2) else tick(4) fi end")
             .unwrap()
@@ -2194,7 +2118,9 @@ mod tests {
     fn expired_deadline_is_budget_exhaustion_not_infeasibility() {
         let program = coin_program();
         let options = AnalysisOptions::degree(2).with_timeout(Duration::ZERO);
-        let err = analyze_with(&program, &options, &SparseBackend).unwrap_err();
+        let err = analyze_session_resilient(&program, &options, &SparseBackend)
+            .err()
+            .expect("a zero budget cannot produce a result");
         assert!(err.budget_exhausted(), "{err:?}");
         // The one invariant the whole budget design hangs on: exhaustion is
         // never infeasibility, so it can never trigger a poly-degree retry.
@@ -2232,6 +2158,62 @@ mod tests {
             Err(err) => assert!(err.budget_exhausted(), "{err:?}"),
             Ok(_) => panic!("an always-exhausted backend cannot produce a result"),
         };
+    }
+
+    #[test]
+    fn resilient_ladder_reports_the_exhaustion_after_reverting_the_mode_rung() {
+        // Global exhausts once; the compositional rung is infeasible (a
+        // non-tail cross-component call) and is reverted; degree 1 with
+        // presolve on leaves no rung.  The verdict is the exhaustion, never
+        // the reverted rung's infeasibility.
+        let program = cma_appl::parse_program(
+            "func f() begin if prob(0.5) then tick(1); call f fi end\n\
+             func main() begin call f; tick(1) end",
+        )
+        .unwrap();
+        let backend = FlakyBudget::failing(1);
+        let err = analyze_session_resilient(&program, &AnalysisOptions::degree(1), &backend)
+            .err()
+            .expect("no rung is left to land an answer");
+        assert!(err.budget_exhausted(), "{err}");
+        assert_eq!(err.infeasible_at(), None);
+    }
+
+    #[test]
+    fn escalation_that_exhausts_its_budget_degrades_instead_of_failing() {
+        let program = coin_program();
+        let backend = FlakyBudget::failing(0);
+        let (_, mut session) =
+            analyze_session_resilient(&program, &AnalysisOptions::degree(1), &backend).unwrap();
+        // The in-place re-minimize runs out of budget; the driver descends
+        // one rung from there instead of failing the escalation.
+        backend
+            .failures
+            .store(1, std::sync::atomic::Ordering::SeqCst);
+        let result = session.escalate_degree(2).unwrap();
+        assert_eq!(
+            result.degradation.steps,
+            vec![DegradationStep::CompositionalMode]
+        );
+        assert_eq!(result.degree(), 2);
+        assert_eq!(result.escalation.unwrap().cold_restarts, 1);
+        let e2 = result.raw_moment_at(2, &[]);
+        assert!(e2.lo() <= 10.0 + 1e-6 && 10.0 - 1e-6 <= e2.hi(), "{e2:?}");
+    }
+
+    #[test]
+    fn termination_check_has_no_verdict_when_degraded_below_its_degree() {
+        // Global and compositional exhaust; the ladder lands at degree 1,
+        // which bounds E[T] only — no verdict on E[T^2].
+        let backend = FlakyBudget::failing(2);
+        let err = crate::soundness::check_termination_moment_with(
+            &coin_program(),
+            2,
+            &AnalysisOptions::degree(2),
+            &backend,
+        )
+        .unwrap_err();
+        assert!(err.budget_exhausted(), "{err}");
     }
 
     #[test]

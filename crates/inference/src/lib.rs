@@ -18,7 +18,8 @@
 //!   rules (Q-Tick, Q-Sample, Q-Assign, Q-Seq, Q-Cond, Q-Prob, Q-Loop,
 //!   Q-Call-Poly, Q-Call-Mono);
 //! * [`engine`] — the analysis driver (call-graph SCCs, objectives, solving,
-//!   bound extraction, in-session degree escalation, poly-degree retries);
+//!   bound extraction, in-session degree escalation, and one loop for
+//!   poly-degree retries and the degradation ladder);
 //! * [`plan`] — derivation plans: the degree-independent skeleton of a
 //!   derivation (template slots, constraint recipes, loop-head contexts),
 //!   recorded once and re-instantiated per `(m, d)`;
@@ -32,7 +33,7 @@
 //!
 //! ```
 //! use cma_appl::parse_program;
-//! use cma_inference::{analyze_with, AnalysisOptions};
+//! use cma_inference::{analyze_session_resilient, AnalysisOptions};
 //! use cma_lp::SparseBackend;
 //!
 //! let program = parse_program(r#"
@@ -40,7 +41,8 @@
 //!       if prob(0.5) then tick(2) else tick(4) fi
 //!     end
 //! "#).unwrap();
-//! let result = analyze_with(&program, &AnalysisOptions::degree(2), &SparseBackend).unwrap();
+//! let (result, _session) =
+//!     analyze_session_resilient(&program, &AnalysisOptions::degree(2), &SparseBackend).unwrap();
 //! // E[C] = 3, E[C^2] = 10 exactly; the analysis brackets both.
 //! let e1 = result.raw_moment_at(1, &[]);
 //! let e2 = result.raw_moment_at(2, &[]);
@@ -68,18 +70,21 @@ pub mod weaken;
 #[cfg(test)]
 #[path = "../../lp/tests/common/cold.rs"]
 mod cold;
+// The budget-flaking backend that drives the degradation ladder in tests.
+#[cfg(test)]
+#[path = "../../lp/tests/common/flaky.rs"]
+mod flaky;
 
 pub use central::CentralMoments;
 pub use engine::{
-    analyze_session, analyze_session_resilient, analyze_with, AnalysisError, AnalysisOptions,
-    AnalysisResult, AnalysisSession, DegradationStats, DegradationStep, EscalationStats,
-    GroupLpStats, MomentBound, PruningStats, SolveMode,
+    analyze_session_resilient, AnalysisError, AnalysisOptions, AnalysisResult, AnalysisSession,
+    DegradationStats, DegradationStep, EscalationStats, GroupLpStats, MomentBound, PruningStats,
+    SolveMode,
 };
 pub use plan::{DerivationPlan, PlanMode, PlanStats};
 pub use soundness::{
-    check_bounded_update, check_termination_moment, check_termination_moment_in_session,
-    check_termination_moment_with, soundness_report, soundness_report_in_session,
-    soundness_report_with, SoundnessReport,
+    check_bounded_update, check_termination_moment_with, soundness_report_in_session,
+    SoundnessReport,
 };
 pub use store::ConstraintStore;
 pub use tail::{

@@ -54,7 +54,7 @@
 //! switches modes around the walks it replays (see
 //! [`AnalysisSession::escalate_degree`](crate::engine::AnalysisSession::escalate_degree)
 //! and the automatic poly-degree retry in
-//! [`analyze_session`](crate::engine::analyze_session)).
+//! [`analyze_session_resilient`](crate::engine::analyze_session_resilient)).
 
 use std::collections::BTreeMap;
 

@@ -11,10 +11,10 @@
 //!    `∥Y_n∥∞ ∈ O((n+1)^{m·d})` (Lemma F.3).
 
 use cma_appl::ast::{Expr, Function, Program, Stmt, StmtKind};
-use cma_lp::{LpBackend, SparseBackend};
+use cma_lp::{LpBackend, LpStatus};
 use cma_semiring::poly::Var;
 
-use crate::engine::{analyze_with, AnalysisError, AnalysisOptions, AnalysisSession};
+use crate::engine::{analyze_session_resilient, AnalysisError, AnalysisOptions, AnalysisSession};
 
 /// The outcome of the combined soundness check.
 #[derive(Debug, Clone)]
@@ -25,19 +25,18 @@ pub struct SoundnessReport {
     pub violations: Vec<String>,
     /// Whether a finite bound on `E[T^k]` was derived (and for which `k`).
     pub termination_moment: Option<usize>,
-    /// Whether the termination check extended the main analysis's constraint
-    /// store in place (no re-derivation, no from-scratch solve) instead of
-    /// running a standalone analysis.
+    /// Whether the termination verdict came from extending the main
+    /// analysis's constraint store in place (no re-derivation, no
+    /// from-scratch solve); `false` when the standalone re-analysis had to
+    /// establish it.
     pub reused_constraint_store: bool,
-    /// LP variables the in-session extension appended (0 for standalone runs).
+    /// LP variables the in-session extension appended.
     pub extension_variables: usize,
-    /// LP constraint rows the in-session extension appended (0 for
-    /// standalone runs).
+    /// LP constraint rows the in-session extension appended.
     pub extension_constraints: usize,
-    /// Dual-simplex pivots the in-session warm re-solve took (0 for
-    /// standalone runs and the legacy phase-1 strategy): the observable
-    /// that the extension rode the live session instead of restarting
-    /// phase 1.
+    /// Dual-simplex pivots the in-session warm re-solve took (0 for sessions
+    /// that re-solve from scratch): the observable that the extension rode
+    /// the live session.
     pub extension_dual_pivots: usize,
     /// Whether the termination verdict was established by an instrumented
     /// derivation running as a plan transformer over the main derivation's
@@ -47,7 +46,7 @@ pub struct SoundnessReport {
     /// extension failed and a standalone re-analysis rescued the verdict.
     pub shared_templates: bool,
     /// LP template columns the in-session extension shared with the main
-    /// derivation instead of minting (0 for disjoint and standalone runs).
+    /// derivation instead of minting (0 for disjoint extensions).
     /// Describes the in-session attempt even if the verdict ultimately came
     /// from the standalone fallback.
     pub shared_template_columns: usize,
@@ -153,28 +152,17 @@ fn assignment_is_bounded(x: &Var, e: &Expr, noise_vars: &[Var]) -> bool {
     delta.vars().iter().all(|v| noise_vars.contains(v))
 }
 
-/// Checks condition (i) of Theorem 4.4: derives an upper bound on `E[T^k]`
-/// for the *step-counting* instrumentation of the program (every statement is
-/// charged one unit of cost).  Returns `Ok(())` when a finite bound exists.
+/// Checks condition (i) of Theorem 4.4 standalone: derives an upper bound on
+/// `E[T^k]` for the *step-counting* instrumentation of the program (every
+/// statement is charged one unit of cost) from scratch with `backend`.
+/// Returns `Ok(())` when a finite bound exists.  This is the reference the
+/// in-session check ([`soundness_report_in_session`]) falls back on.
 ///
 /// # Errors
 ///
 /// Propagates the underlying [`AnalysisError`] when no bound can be derived,
 /// which means the soundness of moment bounds of degree `k` is not
 /// established for this program.
-pub fn check_termination_moment(
-    program: &Program,
-    k: usize,
-    options: &AnalysisOptions,
-) -> Result<(), AnalysisError> {
-    check_termination_moment_with(program, k, options, &SparseBackend)
-}
-
-/// [`check_termination_moment`] with an explicit [`LpBackend`].
-///
-/// # Errors
-///
-/// Propagates the underlying [`AnalysisError`] when no bound can be derived.
 pub fn check_termination_moment_with(
     program: &Program,
     k: usize,
@@ -184,68 +172,25 @@ pub fn check_termination_moment_with(
     let instrumented = step_counting_instrumentation(program);
     let mut opts = options.clone();
     opts.degree = k;
-    analyze_with(&instrumented, &opts, backend).map(|_| ())
-}
-
-/// [`check_termination_moment`] performed *inside* an existing analysis
-/// session: the step-counting system is derived into the main pass's
-/// constraint store and layered onto its open solver session (fresh
-/// variables, appended rows, one extra `minimize`) instead of building and
-/// solving a standalone problem.
-///
-/// # Errors
-///
-/// Propagates the underlying [`AnalysisError`] when no bound can be derived.
-pub fn check_termination_moment_in_session(
-    session: &mut AnalysisSession<'_>,
-    program: &Program,
-    k: usize,
-) -> Result<(), AnalysisError> {
-    let instrumented = step_counting_instrumentation(program);
-    // The instrumentation is a skeleton-preserving rewrite (only statement
-    // costs change), so the extension may share the main derivation's
-    // component-0 templates when the session supports it.
-    session.extend_and_minimize_shared(&instrumented, k)
-}
-
-/// Runs both soundness checks and assembles a report.
-pub fn soundness_report(
-    program: &Program,
-    degree: usize,
-    options: &AnalysisOptions,
-) -> SoundnessReport {
-    soundness_report_with(program, degree, options, &SparseBackend)
-}
-
-/// [`soundness_report`] with an explicit [`LpBackend`] (standalone: derives
-/// and solves the instrumented program from scratch).
-pub fn soundness_report_with(
-    program: &Program,
-    degree: usize,
-    options: &AnalysisOptions,
-    backend: &dyn LpBackend,
-) -> SoundnessReport {
-    let violations = check_bounded_update(program);
-    let termination_moment = check_termination_moment_with(program, degree, options, backend)
-        .ok()
-        .map(|_| degree);
-    SoundnessReport {
-        bounded_updates: violations.is_empty(),
-        violations,
-        termination_moment,
-        reused_constraint_store: false,
-        extension_variables: 0,
-        extension_constraints: 0,
-        extension_dual_pivots: 0,
-        shared_templates: false,
-        shared_template_columns: 0,
+    let (result, _session) = analyze_session_resilient(&instrumented, &opts, backend)?;
+    if result.degree() < k {
+        // Degraded below `k` on an exhausted budget: no verdict on E[T^k].
+        return Err(AnalysisError::LpFailed {
+            status: LpStatus::BudgetExhausted,
+            group: vec!["<termination>".to_string()],
+            degree: k,
+            poly_degree: result.poly_degree,
+        });
     }
+    Ok(())
 }
 
-/// [`soundness_report`] reusing the main analysis's live session: the
-/// termination side condition extends the already-built constraint store (see
-/// [`check_termination_moment_in_session`]) rather than re-deriving it, so
-/// the report's LP statistics show no duplicated derivation solves.  When the
+/// Runs both soundness checks and assembles a report, reusing the main
+/// analysis's live session: the termination side condition derives the
+/// step-counting system into the already-built constraint store and
+/// re-minimizes it in place (fresh variables, appended rows, one extra
+/// `minimize`) rather than re-deriving the program, so the report's LP
+/// statistics show no duplicated derivation solves.  When the
 /// session supports it, the instrumented derivation additionally shares the
 /// main derivation's templates ([`SoundnessReport::shared_templates`]); if
 /// that shared extension comes back without a bound, the verdict is
@@ -259,7 +204,11 @@ pub fn soundness_report_in_session(
 ) -> SoundnessReport {
     let violations = check_bounded_update(program);
     let shared_before = session.extension_shared_columns();
-    let in_session = check_termination_moment_in_session(session, program, degree)
+    // The instrumentation is a skeleton-preserving rewrite (only statement
+    // costs change), so the extension may share the main derivation's
+    // component-0 templates when the session supports it.
+    let in_session = session
+        .extend_and_minimize_shared(&step_counting_instrumentation(program), degree)
         .ok()
         .map(|_| degree);
     let shared_template_columns = session.extension_shared_columns() - shared_before;
@@ -354,6 +303,7 @@ fn instrument(stmt: &Stmt) -> Stmt {
 mod tests {
     use super::*;
     use cma_appl::build::*;
+    use cma_lp::SparseBackend;
 
     #[test]
     fn bounded_update_accepts_paper_style_programs() {
@@ -463,8 +413,10 @@ mod tests {
             .build()
             .unwrap();
         let options = AnalysisOptions::degree(2);
-        assert!(check_termination_moment(&program, 2, &options).is_ok());
-        let report = soundness_report(&program, 2, &options);
+        assert!(check_termination_moment_with(&program, 2, &options, &SparseBackend).is_ok());
+        let (_, mut session) =
+            analyze_session_resilient(&program, &options, &SparseBackend).unwrap();
+        let report = soundness_report_in_session(&mut session, &program, 2);
         assert!(report.is_sound());
         assert_eq!(report.termination_moment, Some(2));
     }
@@ -472,7 +424,6 @@ mod tests {
     #[test]
     fn in_session_report_reuses_the_constraint_store() {
         use crate::cold::ColdBackend;
-        use crate::engine::analyze_session;
 
         let program = ProgramBuilder::new()
             .function(
@@ -484,7 +435,8 @@ mod tests {
             .unwrap();
         let options = AnalysisOptions::degree(2);
         for backend in [&SparseBackend as &dyn LpBackend, &ColdBackend] {
-            let (result, mut session) = analyze_session(&program, &options, backend).unwrap();
+            let (result, mut session) =
+                analyze_session_resilient(&program, &options, backend).unwrap();
             let report = soundness_report_in_session(&mut session, &program, 2);
             assert!(report.is_sound(), "geo is sound");
             assert_eq!(report.termination_moment, Some(2));
@@ -495,18 +447,14 @@ mod tests {
             // the main pass from scratch.
             assert_eq!(session.minimizes(), 2);
             assert_eq!(result.lp_solves, 1);
-            // The standalone path reports the same verdict without reuse.
-            let standalone = soundness_report_with(&program, 2, &options, backend);
-            assert_eq!(standalone.termination_moment, Some(2));
-            assert!(!standalone.reused_constraint_store);
-            assert_eq!(standalone.extension_constraints, 0);
+            // The standalone reference reaches the same verdict.
+            assert!(check_termination_moment_with(&program, 2, &options, backend).is_ok());
         }
     }
 
     #[test]
     fn shared_template_extension_is_strictly_smaller_than_disjoint() {
         use crate::cold::ColdBackend;
-        use crate::engine::analyze_session;
 
         let program = ProgramBuilder::new()
             .function(
@@ -521,7 +469,8 @@ mod tests {
         // session, so the instrumented derivation runs in shadow mode
         // against the main plan.
         let options = AnalysisOptions::degree(2);
-        let (_, mut session) = analyze_session(&program, &options, &SparseBackend).unwrap();
+        let (_, mut session) =
+            analyze_session_resilient(&program, &options, &SparseBackend).unwrap();
         let shared = soundness_report_in_session(&mut session, &program, 2);
         assert!(shared.is_sound());
         assert!(shared.shared_templates, "dual/sparse must share templates");
@@ -529,7 +478,8 @@ mod tests {
 
         // Disjoint baseline: a session that re-solves from scratch takes the
         // standalone-subproblem path with all-fresh templates.
-        let (_, mut baseline) = analyze_session(&program, &options, &ColdBackend).unwrap();
+        let (_, mut baseline) =
+            analyze_session_resilient(&program, &options, &ColdBackend).unwrap();
         let disjoint = soundness_report_in_session(&mut baseline, &program, 2);
         assert!(disjoint.is_sound());
         assert!(!disjoint.shared_templates);
@@ -556,7 +506,10 @@ mod tests {
             .main(assign("x", mul(v("x"), v("x"))))
             .build()
             .unwrap();
-        let report = soundness_report(&program, 1, &AnalysisOptions::degree(1));
+        let options = AnalysisOptions::degree(1);
+        let (_, mut session) =
+            analyze_session_resilient(&program, &options, &SparseBackend).unwrap();
+        let report = soundness_report_in_session(&mut session, &program, 1);
         assert!(!report.bounded_updates);
         assert!(!report.violations.is_empty());
     }

@@ -19,7 +19,7 @@
 
 use cma_appl::build::*;
 use cma_appl::Program;
-use cma_inference::{analyze_session, analyze_with, AnalysisError, AnalysisOptions, SolveMode};
+use cma_inference::{analyze_session_resilient, AnalysisError, AnalysisOptions, SolveMode};
 use cma_lp::{LpBackend, SparseBackend};
 use cma_semiring::poly::Var;
 use proptest::prelude::*;
@@ -127,10 +127,11 @@ fn escalation_matches_from_scratch_across_the_solver_matrix() {
         for (backend_name, backend) in matrix() {
             let context = format!("{name}/{backend_name}");
             let options = AnalysisOptions::degree(2).with_valuation(at.clone());
-            let (_, mut session) = analyze_session(program, &options, backend).unwrap();
+            let (_, mut session) = analyze_session_resilient(program, &options, backend).unwrap();
             let escalated = session.escalate_degree(4).unwrap();
             let scratch_options = AnalysisOptions::degree(4).with_valuation(at.clone());
-            let scratch = analyze_with(program, &scratch_options, backend).unwrap();
+            let (scratch, _) =
+                analyze_session_resilient(program, &scratch_options, backend).unwrap();
             assert_bounds_match(&escalated, &scratch, at, &context);
 
             let stats = escalated.escalation.expect("escalation stats present");
@@ -157,10 +158,11 @@ fn chained_escalation_reaches_the_same_fixpoint() {
     let program = geo();
     let backend = SparseBackend;
     let (_, mut session) =
-        analyze_session(&program, &AnalysisOptions::degree(1), &backend).unwrap();
+        analyze_session_resilient(&program, &AnalysisOptions::degree(1), &backend).unwrap();
     session.escalate_degree(2).unwrap();
     let escalated = session.escalate_degree(4).unwrap();
-    let scratch = analyze_with(&program, &AnalysisOptions::degree(4), &backend).unwrap();
+    let (scratch, _) =
+        analyze_session_resilient(&program, &AnalysisOptions::degree(4), &backend).unwrap();
     assert_bounds_match(&escalated, &scratch, &[], "geo chained 1->2->4");
     assert_eq!(session.minimizes(), 3);
 }
@@ -169,7 +171,7 @@ fn chained_escalation_reaches_the_same_fixpoint() {
 fn escalation_to_a_non_larger_degree_is_rejected() {
     let program = geo();
     let (_, mut session) =
-        analyze_session(&program, &AnalysisOptions::degree(2), &SparseBackend).unwrap();
+        analyze_session_resilient(&program, &AnalysisOptions::degree(2), &SparseBackend).unwrap();
     match session.escalate_degree(2) {
         Err(AnalysisError::InvalidEscalation { from: 2, to: 2 }) => {}
         other => panic!("expected InvalidEscalation, got {other:?}"),
@@ -185,7 +187,7 @@ fn escalation_after_an_extension_is_rejected() {
     // escalated optimum.
     let program = geo();
     let (_, mut session) =
-        analyze_session(&program, &AnalysisOptions::degree(2), &SparseBackend).unwrap();
+        analyze_session_resilient(&program, &AnalysisOptions::degree(2), &SparseBackend).unwrap();
     session.extend_and_minimize(&program, 2).unwrap();
     match session.escalate_degree(4) {
         Err(AnalysisError::EscalationAfterExtension) => {}
@@ -197,12 +199,13 @@ fn escalation_after_an_extension_is_rejected() {
 fn compositional_escalation_falls_back_to_a_cold_rederive() {
     let program = geo();
     let options = AnalysisOptions::degree(2).with_mode(SolveMode::Compositional);
-    let (_, mut session) = analyze_session(&program, &options, &SparseBackend).unwrap();
+    let (_, mut session) = analyze_session_resilient(&program, &options, &SparseBackend).unwrap();
     let escalated = session.escalate_degree(4).unwrap();
     let stats = escalated.escalation.expect("stats");
     assert_eq!(stats.cold_restarts, 1, "compositional restarts cold");
     let scratch_options = AnalysisOptions::degree(4).with_mode(SolveMode::Compositional);
-    let scratch = analyze_with(&program, &scratch_options, &SparseBackend).unwrap();
+    let (scratch, _) =
+        analyze_session_resilient(&program, &scratch_options, &SparseBackend).unwrap();
     assert_bounds_match(&escalated, &scratch, &[], "geo compositional");
     // The swapped-in session keeps working (e.g. for a later extension).
     assert!(session.escalate_degree(5).is_ok());
@@ -217,7 +220,7 @@ fn auto_poly_retry_matches_the_direct_higher_degree_run() {
         let options = AnalysisOptions::degree(1)
             .with_valuation(at.clone())
             .with_max_poly_degree(2);
-        let retried = analyze_with(&program, &options, backend).unwrap();
+        let (retried, _) = analyze_session_resilient(&program, &options, backend).unwrap();
         assert_eq!(retried.poly_retries, 1, "{context}");
         assert_eq!(retried.poly_degree, 2, "{context}");
         assert!(
@@ -228,14 +231,16 @@ fn auto_poly_retry_matches_the_direct_higher_degree_run() {
         let direct_options = AnalysisOptions::degree(1)
             .with_poly_degree(2)
             .with_valuation(at.clone());
-        let direct = analyze_with(&program, &direct_options, backend).unwrap();
+        let (direct, _) = analyze_session_resilient(&program, &direct_options, backend).unwrap();
         assert_bounds_match(&retried, &direct, &at, &context);
     }
 }
 
 #[test]
 fn infeasibility_without_retry_budget_reports_the_failing_degrees() {
-    let err = analyze_with(&triangle(), &AnalysisOptions::degree(1), &SparseBackend).unwrap_err();
+    let err = analyze_session_resilient(&triangle(), &AnalysisOptions::degree(1), &SparseBackend)
+        .err()
+        .expect("linear templates cannot bound the triangle");
     assert_eq!(err.infeasible_at(), Some((1, 1)));
     match err {
         AnalysisError::LpFailed {
@@ -256,7 +261,8 @@ fn escalation_after_poly_retry_keeps_the_settled_poly_degree() {
     let options = AnalysisOptions::degree(1)
         .with_max_poly_degree(2)
         .with_valuation(at.clone());
-    let (result, mut session) = analyze_session(&program, &options, &SparseBackend).unwrap();
+    let (result, mut session) =
+        analyze_session_resilient(&program, &options, &SparseBackend).unwrap();
     assert_eq!(result.poly_degree, 2);
     let escalated = session.escalate_degree(2).unwrap();
     assert_eq!(escalated.poly_degree, 2);
@@ -266,7 +272,8 @@ fn escalation_after_poly_retry_keeps_the_settled_poly_degree() {
     let scratch_options = AnalysisOptions::degree(2)
         .with_poly_degree(2)
         .with_valuation(at.clone());
-    let scratch = analyze_with(&program, &scratch_options, &SparseBackend).unwrap();
+    let (scratch, _) =
+        analyze_session_resilient(&program, &scratch_options, &SparseBackend).unwrap();
     assert_bounds_match(&escalated, &scratch, &at, "triangle escalate-after-retry");
 }
 
@@ -289,10 +296,10 @@ proptest! {
         let (_, backend) = matrix()[config];
         let to = from + extra;
         let options = AnalysisOptions::degree(from).with_valuation(at.clone());
-        let (_, mut session) = analyze_session(&program, &options, backend).unwrap();
+        let (_, mut session) = analyze_session_resilient(&program, &options, backend).unwrap();
         let escalated = session.escalate_degree(to).unwrap();
         let scratch_options = AnalysisOptions::degree(to).with_valuation(at.clone());
-        let scratch = analyze_with(&program, &scratch_options, backend).unwrap();
+        let (scratch, _) = analyze_session_resilient(&program, &scratch_options, backend).unwrap();
         assert_bounds_match(&escalated, &scratch, &at, &format!("prop f{fixture} {from}->{to} c{config}"));
         prop_assert!(escalated.escalation.unwrap().reused_columns > 0);
     }

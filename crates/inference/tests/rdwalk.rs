@@ -8,7 +8,7 @@
 
 use cma_appl::build::*;
 use cma_appl::Program;
-use cma_inference::{analyze_with, AnalysisOptions};
+use cma_inference::{analyze_session_resilient, AnalysisOptions};
 use cma_lp::SparseBackend;
 use cma_semiring::poly::Var;
 use cma_sim::{simulate, SimConfig};
@@ -41,7 +41,8 @@ fn options() -> AnalysisOptions {
 #[test]
 fn rdwalk_first_and_second_moment_bounds_match_the_paper() {
     let program = rdwalk_program();
-    let result = analyze_with(&program, &options(), &SparseBackend).expect("analysis succeeds");
+    let (result, _) =
+        analyze_session_resilient(&program, &options(), &SparseBackend).expect("analysis succeeds");
     let d = 10.0;
     let valuation = [(Var::new("d"), d)];
 
@@ -81,7 +82,8 @@ fn rdwalk_first_and_second_moment_bounds_match_the_paper() {
 #[test]
 fn rdwalk_symbolic_variance_bound_is_linear_in_d() {
     let program = rdwalk_program();
-    let result = analyze_with(&program, &options(), &SparseBackend).expect("analysis succeeds");
+    let (result, _) =
+        analyze_session_resilient(&program, &options(), &SparseBackend).expect("analysis succeeds");
     // Evaluate the bound at several distances; it must stay an upper bound
     // (checked against simulation) and grow at most linearly.
     let mut previous = 0.0;
@@ -114,7 +116,8 @@ fn rdwalk_symbolic_variance_bound_is_linear_in_d() {
 #[test]
 fn rdwalk_function_spec_matches_fig7_shape() {
     let program = rdwalk_program();
-    let result = analyze_with(&program, &options(), &SparseBackend).expect("analysis succeeds");
+    let (result, _) =
+        analyze_session_resilient(&program, &options(), &SparseBackend).expect("analysis succeeds");
     // The level-0 specification's first-moment upper bound should be close to
     // 2(d - x) + 4 when evaluated at x = 0, d = 10 (i.e. ≤ 24, ≥ 20).
     let spec = result.spec("rdwalk", 0).expect("spec exists");

@@ -53,6 +53,10 @@ mod report;
 #[cfg(test)]
 #[path = "../crates/lp/tests/common/cold.rs"]
 mod cold;
+// The budget-flaking backend that drives the degradation ladder in tests.
+#[cfg(test)]
+#[path = "../crates/lp/tests/common/flaky.rs"]
+mod flaky;
 
 pub use error::{CmaError, ResultExt};
 pub use pipeline::Analysis;

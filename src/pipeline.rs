@@ -33,8 +33,8 @@ use std::time::{Duration, Instant};
 use cma_appl::{parse_program, Program};
 use cma_check::CheckConfig;
 use cma_inference::{
-    analyze_session, analyze_session_resilient, soundness_report_in_session, tail_curve,
-    AnalysisOptions, CentralMoments, DegradationStep, SolveMode,
+    analyze_session_resilient, soundness_report_in_session, tail_curve, AnalysisOptions,
+    CentralMoments, DegradationStep, SolveMode,
 };
 use cma_lp::{LpBackend, SparseBackend};
 use cma_semiring::poly::Var;
@@ -142,7 +142,10 @@ impl<B: LpBackend> Analysis<B> {
     /// first solves at degree `from`, then escalates the live warm session
     /// degree by appending only the new moment components (see
     /// [`AnalysisSession::escalate_degree`](cma_inference::AnalysisSession::escalate_degree)).
-    /// The report's `escalation` section carries the reuse statistics.
+    /// The report's `escalation` section carries the reuse statistics.  The
+    /// starting solve and the escalation degrade under an exhausted budget
+    /// exactly like a plain run (see [`timeout`](Self::timeout)), and the
+    /// report labels it.
     pub fn escalate_from(mut self, from: usize) -> Self {
         self.escalate_from = Some(from);
         self
@@ -351,22 +354,19 @@ impl<B: LpBackend> Analysis<B> {
         }
 
         let analysis_start = Instant::now();
-        // With escalation enabled, solve at the starting degree first, then
-        // escalate the live session to the target — the warm basis absorbs
-        // the new moment components instead of a cold re-derive.  The plain
-        // path runs the resilient driver, which degrades (and labels the
-        // degradation) instead of failing when a budget runs out.
-        let (result, mut engine_session) = match self.escalate_from {
-            Some(from) => {
-                let mut start_options = options.clone();
-                start_options.degree = from;
-                let (_low, mut session) =
-                    analyze_session(&self.program, &start_options, &self.backend)?;
-                let result = session.escalate_degree(options.degree)?;
-                (result, session)
-            }
-            None => analyze_session_resilient(&self.program, &options, &self.backend)?,
-        };
+        // The engine's one driver starts every run: it degrades (and labels
+        // the degradation) instead of failing when a budget runs out.  With
+        // escalation enabled it solves at the starting degree first, then
+        // the live session escalates to the target — the warm basis absorbs
+        // the new moment components instead of a cold re-derive, and the
+        // escalated result carries the start's degradation steps.
+        let mut start_options = options.clone();
+        start_options.degree = self.escalate_from.unwrap_or(options.degree);
+        let (mut result, mut engine_session) =
+            analyze_session_resilient(&self.program, &start_options, &self.backend)?;
+        if self.escalate_from.is_some() {
+            result = engine_session.escalate_degree(options.degree)?;
+        }
         let analysis_elapsed = analysis_start.elapsed();
         // Degradation may have landed below the requested degree or switched
         // the mode; everything downstream — soundness, report header, the
@@ -737,6 +737,35 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, CmaError::Usage(_)), "from={from}: {err}");
         }
+    }
+
+    #[test]
+    fn escalated_run_degrades_like_the_plain_run_when_the_start_exhausts_its_budget() {
+        use crate::flaky::FlakyBudget;
+
+        let plain_backend = FlakyBudget::failing(1);
+        let plain = Analysis::benchmark(&running::rdwalk())
+            .backend(&plain_backend)
+            .soundness(false)
+            .run()
+            .unwrap();
+        assert_eq!(plain.degradation.to_string(), "global->compositional");
+
+        let escalated_backend = FlakyBudget::failing(1);
+        let escalated = Analysis::benchmark(&running::rdwalk())
+            .backend(&escalated_backend)
+            .escalate_from(1)
+            .soundness(false)
+            .run()
+            .unwrap_or_else(|e| panic!("the escalated start must degrade, not fail: {e}"));
+        assert_eq!(escalated.degradation, plain.degradation);
+        assert_eq!(escalated.result.degradation, plain.result.degradation);
+        assert_eq!(escalated.mode, SolveMode::Compositional);
+        assert_eq!(escalated.degree, 2);
+        let stats = escalated.escalation.expect("escalation stats in report");
+        assert_eq!((stats.from_degree, stats.to_degree), (1, 2));
+        // Both runs solved the same compositional degree-2 system cold.
+        assert!((escalated.mean().hi() - plain.mean().hi()).abs() < 1e-3);
     }
 
     #[test]

@@ -191,23 +191,81 @@ fn soundness_checks_run_on_suite_programs() {
 
 #[test]
 fn engine_entry_point_agrees_with_the_facade() {
-    // The engine-level `analyze_with` (which replaced the retired
-    // `analyze()` shim) must produce the same bounds as the pipeline, so
-    // low-level callers and facade users never diverge.
-    fn direct(b: &Benchmark) -> central_moment_analysis::Interval {
-        use central_moment_analysis::inference::{analyze_with, AnalysisOptions};
-        use central_moment_analysis::SparseBackend;
-        let options = AnalysisOptions::degree(2).with_valuation(b.valuation.clone());
-        analyze_with(&b.program, &options, &SparseBackend)
-            .unwrap()
-            .raw_moment_at(1, &b.valuation)
+    // The engine's one from-scratch entry composed with the in-session
+    // soundness check — the layer calls `Analysis::run` makes, which the
+    // benchmark's traced pass repeats — must agree with the facade exactly:
+    // raw intervals to the bit, summed group solver effort, and the
+    // soundness verdict.  The benchmark's traced-vs-untraced fingerprint
+    // check relies on this.
+    use central_moment_analysis::inference::{
+        analyze_session_resilient, soundness_report_in_session, GroupLpStats,
+    };
+    use central_moment_analysis::{CheckConfig, SolveMode, SparseBackend};
+    use std::sync::Arc;
+
+    fn effort(groups: &[GroupLpStats]) -> [usize; 3] {
+        groups.iter().fold([0; 3], |[i, r, d], g| {
+            [i + g.iterations, r + g.refactorizations, d + g.dual_pivots]
+        })
     }
-    let b = suite::running::rdwalk();
-    let report = Analysis::benchmark(&b).soundness(false).run().unwrap();
-    let old = direct(&b);
-    let new = report.raw_moment(1);
-    assert!((old.hi() - new.hi()).abs() < 1e-9);
-    assert!((old.lo() - new.lo()).abs() < 1e-9);
+    fn bits(raw: &[central_moment_analysis::Interval]) -> Vec<(u64, u64)> {
+        raw.iter()
+            .map(|i| (i.lo().to_bits(), i.hi().to_bits()))
+            .collect()
+    }
+
+    for (b, mode) in [
+        (suite::running::rdwalk(), SolveMode::Global),
+        (suite::synthetic::coupon_chain(3), SolveMode::Compositional),
+    ] {
+        let facade = Analysis::benchmark(&b).mode(mode);
+        let report = facade.run().unwrap();
+
+        let mut options = facade.options().clone();
+        let config = CheckConfig {
+            nonneg_cost: false,
+            assume_init: options.valuation.iter().map(|(v, _)| v.clone()).collect(),
+        };
+        let check = central_moment_analysis::check::check_program(&b.program, &config);
+        if !check.facts().is_empty() {
+            options.range_facts = Some(Arc::new(check.facts().clone()));
+        }
+        let (result, mut session) =
+            analyze_session_resilient(&b.program, &options, &SparseBackend).unwrap();
+        let soundness = soundness_report_in_session(&mut session, &b.program, result.degree());
+
+        let context = &b.name;
+        assert_eq!(
+            bits(&result.raw_intervals_at(&options.valuation)),
+            bits(&report.raw_intervals),
+            "{context}: raw intervals"
+        );
+        assert_eq!(
+            effort(&result.groups),
+            effort(&report.result.groups),
+            "{context}: iterations, refactorizations, dual pivots"
+        );
+        let facade_soundness = report.soundness.as_ref().expect("soundness on by default");
+        assert!(soundness.is_sound(), "{context}");
+        assert_eq!(
+            soundness.is_sound(),
+            facade_soundness.is_sound(),
+            "{context}"
+        );
+        assert_eq!(
+            (
+                soundness.termination_moment,
+                soundness.extension_constraints,
+                soundness.extension_dual_pivots,
+            ),
+            (
+                facade_soundness.termination_moment,
+                facade_soundness.extension_constraints,
+                facade_soundness.extension_dual_pivots,
+            ),
+            "{context}: soundness extension"
+        );
+    }
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the simplex linear-algebra kernels:
-//! ftran, btran, and eta-apply on solved chain-LP bases.
+//! ftran, btran, eta-apply, LU refactorization and Forrest–Tomlin update
+//! on solved chain-LP bases.
 //!
 //! Fixtures are chain-*shaped* LPs (the warmsmoke stand-in scaled to the
 //! walk-chain n=4 / n=8 system sizes), solved once under the Markowitz LU;
@@ -9,10 +10,14 @@
 //! (`force_dense`) — so the printout shows what the Gilbert–Peierls
 //! traversal buys at each size.  The eta-apply rows re-time ftran/btran
 //! after warm cutting-row re-solves have grown the Forrest–Tomlin eta
-//! file, isolating the per-eta application cost.
+//! file, isolating the per-eta application cost.  The factor-layer rows
+//! time one refactorization of the solved basis and one update on a freshly
+//! refactorized basis (the refactorization and the entering direction are
+//! set up outside the timed region).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use central_moment_analysis::lp::bench_support::KernelFixture;
 use central_moment_analysis::lp::{Cmp, LpProblem, LpVarId, SolverTuning};
@@ -69,6 +74,29 @@ fn bench_kernels(c: &mut Criterion) {
             });
         }
         fx.force_dense(false);
+
+        c.bench_function(&format!("kernels_refactorize/{label}"), |b| {
+            b.iter(|| assert!(black_box(fx.refactorize())))
+        });
+        c.bench_function(&format!("kernels_ft_update/{label}"), |b| {
+            let mut i = 0usize;
+            b.iter_custom(|iters| {
+                let mut total = Duration::ZERO;
+                for _ in 0..iters {
+                    // Cycle to the next entering column with a usable pivot.
+                    let prepared = (0..cols.len()).any(|_| {
+                        i += 1;
+                        fx.prepare_ft_update(cols[i % cols.len()])
+                    });
+                    assert!(prepared, "fixture {label} has no usable entering column");
+                    let start = Instant::now();
+                    black_box(fx.ft_update());
+                    total += start.elapsed();
+                }
+                total
+            })
+        });
+        assert!(fx.refactorize(), "fixture {label} lost its basis");
 
         // One warm cutting-row re-solve first (end-to-end dual-path sanity
         // for the fixture), then load the factorization with direct

@@ -39,11 +39,13 @@ fn main() {
     let share = lp.btran_ns as f64 / profile as f64;
     eprintln!(
         "perfsmoke: n=8 global lu — ftran {} µs, btran {} µs ({share:.2} of profile), \
-         pricing {} µs, ratio {} µs; hyper {} ftran / {} btran, {} dense fallbacks",
+         pricing {} µs, ratio {} µs, factor {} µs; hyper {} ftran / {} btran, \
+         {} dense fallbacks",
         lp.ftran_ns / 1_000,
         lp.btran_ns / 1_000,
         lp.pricing_ns / 1_000,
         lp.ratio_ns / 1_000,
+        lp.factor_ns / 1_000,
         lp.hyper_sparse_ftrans,
         lp.hyper_sparse_btrans,
         lp.dense_fallbacks,

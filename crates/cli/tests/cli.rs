@@ -56,6 +56,7 @@ fn zero_ns_fields(json: &str) -> String {
         "btran_ns",
         "pricing_ns",
         "ratio_ns",
+        "factor_ns",
         "hyper_sparse_ftrans",
         "hyper_sparse_btrans",
         "dense_fallbacks",

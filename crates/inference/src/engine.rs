@@ -414,6 +414,8 @@ pub struct GroupLpStats {
     pub pricing_ns: u64,
     /// Nanoseconds spent in primal/dual ratio tests.
     pub ratio_ns: u64,
+    /// Nanoseconds spent building and updating the basis factorization.
+    pub factor_ns: u64,
     /// Forward solves completed on the hyper-sparse kernel path.
     pub hyper_sparse_ftrans: u64,
     /// Backward solves completed on the hyper-sparse kernel path.
@@ -1438,6 +1440,7 @@ fn group_lp_stats(
         btran_ns: stats.btran_ns,
         pricing_ns: stats.pricing_ns,
         ratio_ns: stats.ratio_ns,
+        factor_ns: stats.factor_ns,
         hyper_sparse_ftrans: stats.hyper_sparse_ftrans,
         hyper_sparse_btrans: stats.hyper_sparse_btrans,
         dense_fallbacks: stats.dense_fallbacks,

@@ -26,6 +26,10 @@ pub struct KernelFixture {
     objective: Vec<(LpVarId, f64)>,
     /// Reusable kernel output buffer.
     out: Vec<f64>,
+    /// Direction and leaving position of the update
+    /// [`prepare_ft_update`](Self::prepare_ft_update) set up.
+    update_dir: Vec<f64>,
+    update_pos: Option<usize>,
 }
 
 impl KernelFixture {
@@ -45,6 +49,8 @@ impl KernelFixture {
             costs,
             objective: problem.objective().to_vec(),
             out: Vec::new(),
+            update_dir: Vec::new(),
+            update_pos: None,
         })
     }
 
@@ -150,6 +156,36 @@ impl KernelFixture {
             }
         }
         applied
+    }
+
+    /// One LU refactorization of the solved basis from its pristine
+    /// columns, discarding any updates applied since.  Returns `false` on
+    /// a singular basis (never for a fixture that solved).
+    pub fn refactorize(&mut self) -> bool {
+        self.core.kernel_refactorize()
+    }
+
+    /// Sets up one Forrest–Tomlin update for [`ft_update`](Self::ft_update):
+    /// restores the pristine factorization, ftrans standard-form column `j`
+    /// and picks the position of the direction's largest entry as the
+    /// leaving one.  Returns `false` when `j` has no usable pivot.
+    pub fn prepare_ft_update(&mut self, j: usize) -> bool {
+        self.refactorize();
+        let mut dir = std::mem::take(&mut self.update_dir);
+        self.update_pos = self.core.kernel_direction(j, &mut dir);
+        self.update_dir = dir;
+        self.update_pos.is_some()
+    }
+
+    /// Applies the update [`prepare_ft_update`](Self::prepare_ft_update)
+    /// set up — one Forrest–Tomlin column replacement on a freshly
+    /// refactorized basis, nothing else.  Returns `false` when the update
+    /// declined or none was prepared.
+    pub fn ft_update(&mut self) -> bool {
+        match self.update_pos.take() {
+            Some(p) => self.core.update_factor(p, &self.update_dir),
+            None => false,
+        }
     }
 
     /// Appends a (typically violated) cut and warm re-solves the captured

@@ -199,6 +199,12 @@ pub(crate) struct SimplexCore {
     /// Reusable staging buffer for sparse right-hand sides (column entries,
     /// basic costs, bound-flip batches).
     rhs_buf: Vec<(usize, f64)>,
+    /// Superset of the nonzero positions of the last
+    /// [`direction_into`](Self::direction_into) result, valid when
+    /// `d_sparse` (its ftran stayed sparse) — the support the factorization
+    /// update of that direction walks instead of scanning it.
+    d_support: Vec<usize>,
+    d_sparse: bool,
     /// Devex α-scatter workspace: accumulated pivot-row entries by column
     /// (all-zero outside `alpha_touched` between pivots).
     alpha_scratch: Vec<f64>,
@@ -244,6 +250,8 @@ impl SimplexCore {
             compaction_base: 0,
             ws: KernelWs::default(),
             rhs_buf: Vec::new(),
+            d_support: Vec::new(),
+            d_sparse: false,
             alpha_scratch: Vec::new(),
             alpha_touched: Vec::new(),
             alpha_rows: Vec::new(),
@@ -477,6 +485,23 @@ impl SimplexCore {
         self.factor.ftran_ws(&mut self.ws);
         self.stats.ftran_ns += t.elapsed().as_nanos() as u64;
         self.ws.copy_sol_into(out);
+        self.d_sparse = self.ws.sparse;
+        self.d_support.clear();
+        if self.d_sparse {
+            self.d_support.extend_from_slice(&self.ws.pattern);
+        }
+    }
+
+    /// Replaces the basic column at position `p` in the factorization
+    /// (the basis bookkeeping is the caller's); `d` is the last
+    /// [`direction_into`](Self::direction_into) result.  Timed into
+    /// [`SolveStats::factor_ns`]; `false` when the update declined.
+    pub(crate) fn update_factor(&mut self, p: usize, d: &[f64]) -> bool {
+        let t = Instant::now();
+        let support = self.d_sparse.then_some(&self.d_support[..]);
+        let updated = self.factor.update(p, d, support).is_ok();
+        self.stats.factor_ns += t.elapsed().as_nanos() as u64;
+        updated
     }
 
     /// Row `p` of `B⁻¹` (a hyper-sparse unit-rhs btran, timed as btran
@@ -516,7 +541,7 @@ impl SimplexCore {
         self.is_basic[entering] = true;
         self.at_upper[entering] = false;
         self.basis[p] = entering;
-        if self.factor.update(p, d).is_ok() {
+        if self.update_factor(p, d) {
             self.stats.etas += 1;
             self.stats.eta_len = self.stats.eta_len.max(self.factor.eta_count());
         } else {
@@ -561,7 +586,10 @@ impl SimplexCore {
     /// singular basis, leaving the state untouched.
     fn refactorize(&mut self) -> bool {
         let m = self.basis.len();
-        if !self.factor.refactorize(m, &self.basis, &self.cols) {
+        let t = Instant::now();
+        let factored = self.factor.refactorize(m, &self.basis, &self.cols);
+        self.stats.factor_ns += t.elapsed().as_nanos() as u64;
+        if !factored {
             return false;
         }
         let beff = self.effective_b();
@@ -1404,16 +1432,33 @@ impl SimplexCore {
     /// afterwards.  Returns `false` when the update was declined.
     pub(crate) fn kernel_grow_eta(&mut self, j: usize) -> bool {
         let mut d = Vec::new();
-        self.direction_into(j, &mut d);
-        let p = match d
+        match self.kernel_direction(j, &mut d) {
+            Some(p) => self.update_factor(p, &d),
+            None => false,
+        }
+    }
+
+    /// Benchmark window: `d = B⁻¹A_j` plus the position of its largest
+    /// entry — the leaving position [`kernel_grow_eta`](Self::kernel_grow_eta)
+    /// updates at — or `None` when no entry is a usable pivot.
+    pub(crate) fn kernel_direction(&mut self, j: usize, d: &mut Vec<f64>) -> Option<usize> {
+        self.direction_into(j, d);
+        match d
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))
         {
-            Some((p, &dp)) if dp.abs() > PIVOT_EPS => p,
-            _ => return false,
-        };
-        self.factor.update(p, &d).is_ok()
+            Some((p, &dp)) if dp.abs() > PIVOT_EPS => Some(p),
+            _ => None,
+        }
+    }
+
+    /// Benchmark window: rebuilds the factorization of the current basis
+    /// from its pristine columns (the factor layer only; basic values are
+    /// left alone), discarding every update.
+    pub(crate) fn kernel_refactorize(&mut self) -> bool {
+        let m = self.basis.len();
+        self.factor.refactorize(m, &self.basis, &self.cols)
     }
 
     /// Whether any basic value is primal infeasible (negative, above a

@@ -7,22 +7,27 @@
 //! out the drift the updates accumulate.  `LuFactor` provides all four:
 //! a sparse LU elimination with **Markowitz ordering** (pivots chosen to
 //! minimize `(rowcount−1)·(colcount−1)` fill, under a threshold guard for
-//! stability) and **Forrest–Tomlin updates**: a basis change replaces the
-//! departing column of `U` in place with the spike `U·d`, moves its pivot
-//! step to the end of the elimination order, and eliminates the pending row
-//! into one sparse *row eta* — so `U` stays triangular and compact instead
-//! of growing an unbounded product-form eta file.  An update declines
-//! (forcing refactorization) only when the new pivot is unstable relative
-//! to the spike or the eliminated row fills beyond a threshold.  On the
-//! analysis's extremely sparse bases both solves and updates run in
-//! `O(nnz)` rather than `O(m²)`.
+//! stability, by an incremental search that picks exactly the pivot of a
+//! full scan — see `PivotSearch`) and **Forrest–Tomlin updates**: a basis
+//! change replaces the departing column of `U` in place with the spike
+//! `U·d`, moves its pivot step to the end of the elimination order, and
+//! eliminates the pending row into one sparse *row eta* — so `U` stays
+//! triangular and compact instead of growing an unbounded product-form eta
+//! file.  An update declines (forcing refactorization) only when the new
+//! pivot is unstable relative to the spike or the eliminated row fills
+//! beyond a threshold.  On the analysis's extremely sparse bases both
+//! solves and updates run in `O(nnz)` rather than `O(m²)`.
 //!
 //! Row extension (the warm `add_constraint` path) does not touch the
 //! factors: the core marks them stale and refactorizes lazily at the next
 //! solve, amortizing any number of appended rows into one rebuild.
 //!
-//! The tests pin the LU kernels against an explicit dense `B⁻¹` (see the
-//! test module).
+//! The tests pin the LU kernels against an explicit dense `B⁻¹`, and
+//! `refactorize`/`update` bit for bit against the straightforward full-scan
+//! search and dense update they replace (see the test module).
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::core::ColumnStore;
 
@@ -389,9 +394,97 @@ impl KernelWs {
 struct RowEta {
     /// Constraint row the pending step pivots on.
     target: usize,
-    /// `(source constraint row, multiplier)` pairs, all sources unchanged by
-    /// this update (so the combination may be applied as one batch).
-    terms: Vec<(usize, f64)>,
+    /// This eta's `(source constraint row, multiplier)` pairs are
+    /// `eta_terms[start..end]` of the owning [`LuFactor`]; all sources are
+    /// unchanged by this update (so the combination may be applied as one
+    /// batch).
+    start: usize,
+    end: usize,
+}
+
+/// Reusable buffers of a Forrest–Tomlin [`update`](LuFactor::update),
+/// sized with the factors so an update allocates nothing.  Every buffer is
+/// all-zero / all-false / empty between updates.
+#[derive(Clone, Default)]
+struct UpdateWs {
+    /// The spike `U·d` by constraint row.
+    spike: Vec<f64>,
+    /// Steps whose spike entry may be nonzero (reachable from `d`'s
+    /// support), flagged in `step_seen`.
+    steps: Vec<usize>,
+    step_seen: Vec<bool>,
+    /// The pending row's entries by basis position: value, whether the
+    /// entry is present, and whether the position is already queued.
+    pend: Vec<f64>,
+    pend_live: Vec<bool>,
+    pend_queued: Vec<bool>,
+    /// Positions whose `pend*` slots the current update wrote.
+    pend_touched: Vec<usize>,
+    /// Pending positions, popped in increasing `order_pos` (see
+    /// [`heap_push`]).
+    heap: Vec<(usize, usize)>,
+}
+
+impl UpdateWs {
+    /// Sizes the dense buffers for dimension `m` (a no-op once they are).
+    fn ensure(&mut self, m: usize) {
+        if self.spike.len() < m {
+            self.spike.resize(m, 0.0);
+            self.step_seen.resize(m, false);
+            self.pend.resize(m, 0.0);
+            self.pend_live.resize(m, false);
+            self.pend_queued.resize(m, false);
+        }
+    }
+
+    /// Marks step `t` as reachable.
+    fn reach(&mut self, t: usize) {
+        if !self.step_seen[t] {
+            self.step_seen[t] = true;
+            self.steps.push(t);
+        }
+    }
+
+    /// Restores the all-zero spike and the empty step set.
+    fn clear_spike(&mut self, pivot_row: &[usize]) {
+        for &t in &self.steps {
+            self.spike[pivot_row[t]] = 0.0;
+            self.step_seen[t] = false;
+        }
+        self.steps.clear();
+    }
+
+    /// Restores the empty pending row.
+    fn clear_pending(&mut self) {
+        for &j in &self.pend_touched {
+            self.pend[j] = 0.0;
+            self.pend_live[j] = false;
+            self.pend_queued[j] = false;
+        }
+        self.pend_touched.clear();
+        self.heap.clear();
+    }
+
+    /// Adds position `j` to the pending row at value 0 (re-adding a dropped
+    /// entry restarts it from 0, as a fresh entry would).
+    fn open_pending(&mut self, j: usize, order_key: usize) {
+        if !self.pend_live[j] {
+            self.pend_live[j] = true;
+            self.pend[j] = 0.0;
+            if !self.pend_queued[j] {
+                self.pend_queued[j] = true;
+                self.pend_touched.push(j);
+                heap_push(&mut self.heap, (usize::MAX - order_key, j));
+            }
+        }
+    }
+}
+
+/// Scratch is not factor state: it prints as a marker only.
+impl std::fmt::Debug for UpdateWs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("UpdateWs").finish_non_exhaustive()
+    }
 }
 
 /// Markowitz-ordered sparse LU with Forrest–Tomlin updates (see the
@@ -439,6 +532,10 @@ pub(crate) struct LuFactor {
     utrans: Vec<Vec<usize>>,
     /// Forrest–Tomlin row etas, in creation order.
     row_etas: Vec<RowEta>,
+    /// Arena holding every row eta's terms, in creation order.
+    eta_terms: Vec<(usize, f64)>,
+    /// Buffers of [`update`](Self::update).
+    scratch: UpdateWs,
     /// Lifetime count of `U` entries retired by updates (see
     /// [`LuFactor::compactions`]).
     compactions: usize,
@@ -524,7 +621,7 @@ impl LuFactor {
         for eta in &self.row_etas {
             let mut s = ws.rhs[eta.target];
             let mut live = s != 0.0;
-            for &(src, mult) in &eta.terms {
+            for &(src, mult) in &self.eta_terms[eta.start..eta.end] {
                 let vs = ws.rhs[src];
                 if vs != 0.0 {
                     live = true;
@@ -687,7 +784,7 @@ impl LuFactor {
         for eta in self.row_etas.iter().rev() {
             let wt = ws.sol[eta.target];
             if wt != 0.0 {
-                for &(src, mult) in &eta.terms {
+                for &(src, mult) in &self.eta_terms[eta.start..eta.end] {
                     ws.sol[src] -= mult * wt;
                     if hyper && !ws.row_marked(src) {
                         ws.mark_row_on(src);
@@ -771,9 +868,18 @@ impl LuFactor {
     }
 
     /// Replaces the basic column at position `p`; `d = B⁻¹A_q` is the
-    /// ftran'd entering column.  On `Err` the factorization is unchanged
-    /// and the caller must refactorize before the next solve.
-    pub(crate) fn update(&mut self, p: usize, d: &[f64]) -> Result<(), FactorError> {
+    /// ftran'd entering column and `support`, when known, a superset of its
+    /// nonzero positions (the ftran's result pattern; `None` scans `d`).
+    /// On `Err` the factorization is unchanged and the caller must
+    /// refactorize before the next solve.  Work is proportional to the
+    /// nonzeros the update touches, and every buffer lives in the factor,
+    /// so an update allocates nothing.
+    pub(crate) fn update(
+        &mut self,
+        p: usize,
+        d: &[f64],
+        support: Option<&[usize]>,
+    ) -> Result<(), FactorError> {
         let dp = d[p];
         if dp.abs() < PIVOT_EPS || !dp.is_finite() {
             return Err(FactorError::UnstablePivot);
@@ -785,13 +891,35 @@ impl LuFactor {
         let t_p = self.col_step[p];
         let r_p = self.pivot_row[t_p];
         let pos_p = self.order_pos[t_p];
+        let ws = &mut self.scratch;
+        ws.ensure(m);
 
         // Spike v = U·d by constraint row.  Since d = B⁻¹a_q and
         // B = L·R⁻¹·U, this equals R·L⁻¹·a_q — exactly the column that
         // must replace column `p` of U for the invariant to keep holding.
-        let mut spike = vec![0.0; m];
+        // Step t reads d at `pivot_col[t]` and at its `upper` positions, so
+        // only the steps `col_step[j]` and `utrans[j]` of a nonzero d[j] can
+        // be nonzero; each is summed in the dense pass's term order, and
+        // every other entry of the dense U·d is an exact zero (dropped to
+        // +0), so the spike is bit-identical to the dense product.
+        let mut reach = |j: usize| {
+            if d[j] != 0.0 {
+                ws.reach(self.col_step[j]);
+                for &t in &self.utrans[j] {
+                    ws.reach(t);
+                }
+            }
+        };
+        match support {
+            Some(support) => support.iter().for_each(|&j| reach(j)),
+            None => (0..m).for_each(reach),
+        }
+        debug_assert!(
+            (0..m).all(|j| d[j] == 0.0 || ws.step_seen[self.col_step[j]]),
+            "update support misses a nonzero of d"
+        );
         let mut spike_max = 0.0f64;
-        for t in 0..m {
+        for &t in &ws.steps {
             let mut s = self.upivot[t] * d[self.pivot_col[t]];
             for &(j, u) in &self.upper[t] {
                 s += u * d[j];
@@ -799,78 +927,95 @@ impl LuFactor {
             if s.abs() <= DROP_TOL {
                 s = 0.0;
             }
-            spike[self.pivot_row[t]] = s;
+            ws.spike[self.pivot_row[t]] = s;
             spike_max = spike_max.max(s.abs());
         }
 
         // With column `p` replaced and step `t_p` moved to the end of the
         // elimination order, only the old row of step `t_p` breaks
         // triangularity: its surviving entries now sit below the diagonal.
-        // Dry-run its elimination (nothing mutated yet, so any decline
-        // leaves the factorization untouched), accumulating the row eta.
-        use std::collections::BTreeMap;
-        let mut pending: BTreeMap<usize, f64> = self.upper[t_p]
-            .iter()
-            .filter(|&&(j, _)| j != p)
-            .copied()
-            .collect();
-        let mut pend_p = spike[r_p];
-        let mut terms: Vec<(usize, f64)> = Vec::new();
-        for pos in pos_p + 1..m {
-            let s = self.order[pos];
-            let Some(u) = pending.remove(&self.pivot_col[s]) else {
-                continue;
-            };
+        // Dry-run its elimination (nothing mutated yet but the eta arena's
+        // tail, so any decline leaves the factorization untouched),
+        // visiting the pending positions in elimination order off a heap:
+        // fill from step s lands strictly later in the order, so the pops
+        // are monotone and match a scan of `pos_p+1..m`.
+        let terms_start = self.eta_terms.len();
+        for &(j, u) in &self.upper[t_p] {
+            if j != p {
+                ws.open_pending(j, self.order_pos[self.col_step[j]]);
+                ws.pend[j] = u;
+            }
+        }
+        let mut pend_p = ws.spike[r_p];
+        let mut verdict = Ok(());
+        while let Some((_, j)) = heap_pop(&mut ws.heap) {
+            if !ws.pend_live[j] {
+                continue; // dropped as a cancellation
+            }
+            ws.pend_live[j] = false;
+            let u = ws.pend[j];
             if u.abs() <= DROP_TOL {
                 continue;
             }
+            let s = self.col_step[j];
+            debug_assert!(self.order_pos[s] > pos_p, "U lost triangularity");
             let mult = u / self.upivot[s];
-            terms.push((self.pivot_row[s], mult));
-            if terms.len() > FT_FILL_CAP {
-                return Err(FactorError::NeedsRefactorization);
+            self.eta_terms.push((self.pivot_row[s], mult));
+            if self.eta_terms.len() - terms_start > FT_FILL_CAP {
+                verdict = Err(FactorError::NeedsRefactorization);
+                break;
             }
             for &(j2, u2) in &self.upper[s] {
                 if j2 == p {
                     continue;
                 }
-                let e = pending.entry(j2).or_insert(0.0);
-                *e -= mult * u2;
-                if e.abs() <= DROP_TOL {
-                    pending.remove(&j2);
+                ws.open_pending(j2, self.order_pos[self.col_step[j2]]);
+                ws.pend[j2] -= mult * u2;
+                if ws.pend[j2].abs() <= DROP_TOL {
+                    ws.pend_live[j2] = false;
                 }
             }
             // Row `pivot_row[s]`'s entry in the replaced column is the
-            // spike value, kept out of `pending` and tracked separately.
-            pend_p -= mult * spike[self.pivot_row[s]];
+            // spike value, kept out of the pending row and tracked
+            // separately.
+            pend_p -= mult * ws.spike[self.pivot_row[s]];
         }
-        debug_assert!(
-            pending.is_empty(),
-            "pending row should eliminate completely"
-        );
+        ws.clear_pending();
         let new_diag = pend_p;
-        if new_diag.abs() < FT_STAB_TOL * spike_max || new_diag.abs() < SINGULAR_TOL {
-            return Err(FactorError::UnstablePivot);
+        if verdict.is_ok()
+            && (new_diag.abs() < FT_STAB_TOL * spike_max || new_diag.abs() < SINGULAR_TOL)
+        {
+            verdict = Err(FactorError::UnstablePivot);
+        }
+        if verdict.is_err() {
+            self.eta_terms.truncate(terms_start);
+            ws.clear_spike(&self.pivot_row);
+            return verdict;
         }
 
         // Commit.  Replace column `p` of U with the spike (retired entries
-        // are the growth a product-form eta file would have kept).  The
-        // Uᵀ adjacency for column `p` is rebuilt exactly here; removals
-        // elsewhere leave stale `utrans` entries, which the hyper-sparse
-        // solves tolerate as a superset.
-        self.utrans[p].clear();
-        for t in 0..m {
-            if let Some(idx) = self.upper[t].iter().position(|&(j, _)| j == p) {
-                self.upper[t].swap_remove(idx);
+        // are the growth a product-form eta file would have kept): the old
+        // entries sit on steps of `utrans[p]` (a superset), the new ones on
+        // the spike's steps, pushed in ascending step order so `utrans[p]`
+        // is rebuilt exactly; removals elsewhere leave stale `utrans`
+        // entries, which the hyper-sparse solves tolerate as a superset.
+        for &t in &self.utrans[p] {
+            let row = &mut self.upper[t];
+            if let Some(idx) = row.iter().position(|&(j, _)| j == p) {
+                row.swap_remove(idx);
                 self.compactions += 1;
             }
-            if t != t_p {
-                let sv = spike[self.pivot_row[t]];
-                if sv != 0.0 {
-                    self.upper[t].push((p, sv));
-                    self.utrans[p].push(t);
-                }
+        }
+        self.utrans[p].clear();
+        ws.steps.sort_unstable();
+        for &t in &ws.steps {
+            let sv = ws.spike[self.pivot_row[t]];
+            if t != t_p && sv != 0.0 {
+                self.upper[t].push((p, sv));
+                self.utrans[p].push(t);
             }
         }
+        ws.clear_spike(&self.pivot_row);
         // ...retire the eliminated row, move its step to the end of the
         // elimination order, and record the row eta for solves.
         self.compactions += self.upper[t_p].len();
@@ -881,8 +1026,12 @@ impl LuFactor {
         for (pos, &t) in self.order.iter().enumerate().skip(pos_p) {
             self.order_pos[t] = pos;
         }
-        if !terms.is_empty() {
-            self.row_etas.push(RowEta { target: r_p, terms });
+        if self.eta_terms.len() > terms_start {
+            self.row_etas.push(RowEta {
+                target: r_p,
+                start: terms_start,
+                end: self.eta_terms.len(),
+            });
         }
         Ok(())
     }
@@ -916,101 +1065,77 @@ impl LuFactor {
             v.resize_with(m, Vec::new);
         }
         self.row_etas.clear();
+        self.eta_terms.clear();
+        self.scratch.ensure(m);
     }
 
     /// Rebuilds from the pristine basis columns; returns `false` (leaving
     /// the previous factorization in place) when the basis is numerically
-    /// singular.
+    /// singular.  Pivots come from [`PivotSearch`], which picks exactly the
+    /// pivot a full Markowitz scan of the active columns would.
     pub(crate) fn refactorize(&mut self, m: usize, basis: &[usize], cols: &ColumnStore) -> bool {
-        use std::collections::{BTreeMap, BTreeSet};
-
-        // Active working matrix, column-major with a row→columns index so
-        // both Markowitz counts are maintainable.  BTree containers keep the
-        // iteration order — and with it the pivot sequence — deterministic.
-        let mut col: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); m];
-        let mut row_cols: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); m];
+        // Active working matrix: columns as `(row, value)` lists sorted by
+        // row, and a sorted row → columns index, so both Markowitz counts
+        // are maintainable and every iteration order — and with it the
+        // pivot sequence — is deterministic.
+        let mut col: Vec<WorkCol> = vec![Vec::new(); m];
+        let mut row_cols: Vec<Vec<usize>> = vec![Vec::new(); m];
         for (k, &c) in basis.iter().enumerate() {
+            let entries = &mut col[k];
             cols.for_each(c, &mut |r, a| {
                 if a != 0.0 {
-                    *col[k].entry(r).or_insert(0.0) += a;
-                    row_cols[r].insert(k);
+                    entries.push((r, a));
                 }
             });
+            // Duplicate rows sum in input order (a stable sort).
+            entries.sort_by_key(|&(r, _)| r);
+            entries.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 += next.1;
+                }
+                same
+            });
+            for &(r, _) in entries.iter() {
+                row_cols[r].push(k);
+            }
         }
-        let mut col_active = vec![true; m];
+        let mut search = PivotSearch::new(&col);
         let mut pivot_row = Vec::with_capacity(m);
         let mut pivot_col = Vec::with_capacity(m);
         let mut upivot = Vec::with_capacity(m);
         let mut lower: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
         let mut upper: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+        let mut merged: WorkCol = Vec::new();
 
         for _step in 0..m {
-            // Markowitz pivot search: minimize (rowcount−1)·(colcount−1)
-            // among entries above the stability threshold of their column.
-            let mut best: Option<(usize, usize, usize, f64)> = None; // (score, r, k, |v|)
-            for (k, active) in col_active.iter().enumerate() {
-                if !active {
-                    continue;
-                }
-                let cc = col[k].len();
-                let colmax = col[k].values().fold(0.0f64, |acc, v| acc.max(v.abs()));
-                if cc == 0 || colmax < SINGULAR_TOL {
-                    return false; // structurally or numerically singular
-                }
-                for (&r, &v) in &col[k] {
-                    let va = v.abs();
-                    if va < LU_THRESHOLD * colmax || va < SINGULAR_TOL {
-                        continue;
-                    }
-                    let score = (row_cols[r].len() - 1) * (cc - 1);
-                    let better = match best {
-                        None => true,
-                        Some((bs, _, _, bv)) => score < bs || (score == bs && va > bv),
-                    };
-                    if better {
-                        best = Some((score, r, k, va));
-                    }
-                }
-                if matches!(best, Some((0, ..))) {
-                    break; // a fill-free pivot cannot be beaten
-                }
-            }
-            let Some((_, pr, pk, _)) = best else {
-                return false;
+            let Some((pr, pk)) = search.next_pivot(&col, &row_cols) else {
+                return false; // structurally or numerically singular
             };
-            let pivot = col[pk][&pr];
+            let pivot = entry(&col[pk], pr);
             // Snapshot the pivot row (U) and pivot column (L multipliers).
             let urow: Vec<(usize, f64)> = row_cols[pr]
                 .iter()
                 .filter(|&&j| j != pk)
-                .map(|&j| (j, col[j][&pr]))
+                .map(|&j| (j, entry(&col[j], pr)))
                 .collect();
             let lcol: Vec<(usize, f64)> = col[pk]
                 .iter()
-                .filter(|&(&i, _)| i != pr)
-                .map(|(&i, &v)| (i, v / pivot))
+                .filter(|&&(i, _)| i != pr)
+                .map(|&(i, v)| (i, v / pivot))
                 .collect();
             // Eliminate: col_j ← col_j − (a_rj / pivot-scaled) updates.
             for &(j, urj) in &urow {
-                for &(i, l) in &lcol {
-                    let e = col[j].entry(i).or_insert(0.0);
-                    *e -= l * urj;
-                    if e.abs() < DROP_TOL {
-                        col[j].remove(&i);
-                        row_cols[i].remove(&j);
-                    } else {
-                        row_cols[i].insert(j);
-                    }
-                }
-                col[j].remove(&pr);
+                eliminate(&col[j], j, pr, urj, &lcol, &mut merged, &mut row_cols);
+                std::mem::swap(&mut col[j], &mut merged);
             }
             // Deactivate the pivot row and column.
-            for (&i, _) in col[pk].iter() {
-                row_cols[i].remove(&pk);
+            for &(i, _) in &col[pk] {
+                remove_sorted(&mut row_cols[i], pk);
             }
             col[pk].clear();
             row_cols[pr].clear();
-            col_active[pk] = false;
+            search.eliminated(pk, &urow, &lcol, &col, &row_cols);
             pivot_row.push(pr);
             pivot_col.push(pk);
             upivot.push(pivot);
@@ -1053,6 +1178,8 @@ impl LuFactor {
         self.ltrans = ltrans;
         self.utrans = utrans;
         self.row_etas.clear();
+        self.eta_terms.clear();
+        self.scratch.ensure(m);
         // `compactions` is a lifetime counter and deliberately survives.
         true
     }
@@ -1071,9 +1198,662 @@ impl LuFactor {
     }
 }
 
+/// One column of [`LuFactor::refactorize`]'s active working matrix:
+/// `(constraint row, value)` entries sorted by row.
+type WorkCol = Vec<(usize, f64)>;
+
+/// The value at `row` of a working column that holds it.
+fn entry(c: &WorkCol, row: usize) -> f64 {
+    let idx = c
+        .binary_search_by_key(&row, |&(r, _)| r)
+        .expect("entry present");
+    c[idx].1
+}
+
+/// Inserts `x` into a sorted list unless present.
+fn insert_sorted(v: &mut Vec<usize>, x: usize) {
+    if let Err(idx) = v.binary_search(&x) {
+        v.insert(idx, x);
+    }
+}
+
+/// Removes `x` from a sorted list if present.
+fn remove_sorted(v: &mut Vec<usize>, x: usize) {
+    if let Ok(idx) = v.binary_search(&x) {
+        v.remove(idx);
+    }
+}
+
+/// One elimination update of working column `j` (`c`) into `out`:
+/// `entry(i) −= l·urj` for each `(i, l)` of `lcol` (an absent entry starts
+/// at 0), an entry below [`DROP_TOL`] dropped as a cancellation, and the
+/// pivot row `pr` removed; `row_cols` follows fill and cancellations.  Both
+/// lists are sorted by row, so this is one merge pass.
+fn eliminate(
+    c: &WorkCol,
+    j: usize,
+    pr: usize,
+    urj: f64,
+    lcol: &[(usize, f64)],
+    out: &mut WorkCol,
+    row_cols: &mut [Vec<usize>],
+) {
+    out.clear();
+    let mut rest = c.iter().copied().filter(|&(r, _)| r != pr).peekable();
+    for &(i, l) in lcol {
+        while let Some(kept) = rest.next_if(|&(r, _)| r < i) {
+            out.push(kept);
+        }
+        let old = rest.next_if(|&(r, _)| r == i).map(|(_, v)| v);
+        let e = old.unwrap_or(0.0) - l * urj;
+        if e.abs() < DROP_TOL {
+            if old.is_some() {
+                remove_sorted(&mut row_cols[i], j);
+            }
+        } else {
+            out.push((i, e));
+            if old.is_none() {
+                insert_sorted(&mut row_cols[i], j);
+            }
+        }
+    }
+    out.extend(rest);
+}
+
+/// The largest magnitude in a working column (0 when empty).
+fn col_max(c: &WorkCol) -> f64 {
+    c.iter().fold(0.0f64, |acc, &(_, v)| acc.max(v.abs()))
+}
+
+/// Whether a working column makes the basis singular: empty, or every
+/// entry below [`SINGULAR_TOL`].
+fn col_singular(c: &WorkCol) -> bool {
+    c.is_empty() || col_max(c) < SINGULAR_TOL
+}
+
+/// Whether an entry of magnitude `va` may pivot in a column whose largest
+/// magnitude is `colmax` (the threshold guard).
+fn eligible(va: f64, colmax: f64) -> bool {
+    !(va < LU_THRESHOLD * colmax || va < SINGULAR_TOL)
+}
+
+/// Marks the end of a [`PivotSearch`] bucket list.
+const NIL: usize = usize::MAX;
+
+/// A set of column indices with a cheap minimum: a binary min-heap plus
+/// membership flags, so a column is queued at most once.
+struct ColumnQueue {
+    heap: BinaryHeap<Reverse<usize>>,
+    queued: Vec<bool>,
+}
+
+impl ColumnQueue {
+    /// The set `0..m`.
+    fn full(m: usize) -> ColumnQueue {
+        ColumnQueue {
+            heap: (0..m).map(Reverse).collect(),
+            queued: vec![true; m],
+        }
+    }
+
+    fn insert(&mut self, k: usize) {
+        if !self.queued[k] {
+            self.queued[k] = true;
+            self.heap.push(Reverse(k));
+        }
+    }
+
+    fn first(&self) -> Option<usize> {
+        self.heap.peek().map(|&Reverse(k)| k)
+    }
+
+    fn pop_first(&mut self) {
+        if let Some(Reverse(k)) = self.heap.pop() {
+            self.queued[k] = false;
+        }
+    }
+}
+
+/// The Markowitz pivot search of [`LuFactor::refactorize`], exact and
+/// incremental.
+///
+/// **The rule.**  Scan the active columns in ascending order.  A column is
+/// *singular* if it is empty or its largest magnitude is below
+/// [`SINGULAR_TOL`]; meeting one ends the factorization.  An entry is
+/// *eligible* if it passes the threshold guard ([`eligible`]); its score is
+/// `(rowcount−1)·(colcount−1)`.  The pivot minimizes the score, ties going
+/// to the larger magnitude and then to the first entry in (column, row)
+/// order, and the scan stops after the first column whose best score is 0.
+///
+/// **Picking the same pivot without the scan.**  Two cases cover it:
+///
+/// * *(a) an eligible score-0 entry exists.*  The scan stops after the
+///   lowest column `k*` holding one, and its pivot is the largest-magnitude
+///   score-0 entry of `k*` (first by row on ties): nothing before `k*`
+///   scores 0, and nothing scores below 0.  `fill_free` holds every column
+///   that may have such an entry.  A column's entry can only become a
+///   score-0 candidate when the column's own entries change (an elimination
+///   touched it) or when one of its rows drops to a single active column,
+///   and both events re-seed the column, so the lowest column of
+///   `fill_free` that survives validation is `k*`.
+/// * *(b) no eligible score-0 entry exists.*  The pivot is the
+///   lexicographic minimum of (score, −magnitude, column, row).  Every
+///   eligible entry now has `rowcount ≥ 2`, so its score is at least
+///   `colcount−1`: scanning the columns bucketed by count in increasing
+///   order, a bucket whose `colcount−1` exceeds the best score so far
+///   cannot hold the minimum, and the search stops there.
+///
+/// **Singular columns never recover.**  A score-0 pivot sits alone in its
+/// row or in its column, so a case-(a) step creates no fill and only
+/// removes entries; a singular column stays singular until a scan meets
+/// it, which a case-(b) step or the last steps always do.  So the search
+/// reports the basis singular as soon as any active column is: the verdict
+/// is the scan's, and a singular verdict leaves the factors untouched.  A
+/// column only turns singular when an elimination touches it, so checking
+/// the touched columns keeps `singular` exact.
+struct PivotSearch {
+    active: Vec<bool>,
+    /// Whether some active column is singular.
+    singular: bool,
+    /// Columns that may hold an eligible score-0 entry.
+    fill_free: ColumnQueue,
+    /// Active columns bucketed by entry count: doubly linked lists with
+    /// heads `head[count]`.
+    head: Vec<usize>,
+    next: Vec<usize>,
+    prev: Vec<usize>,
+    count: Vec<usize>,
+}
+
+impl PivotSearch {
+    /// The search state of a fresh working matrix: every column active and
+    /// a score-0 candidate.
+    fn new(col: &[WorkCol]) -> PivotSearch {
+        let m = col.len();
+        let mut search = PivotSearch {
+            active: vec![true; m],
+            singular: col.iter().any(col_singular),
+            fill_free: ColumnQueue::full(m),
+            head: vec![NIL; m + 1],
+            next: vec![NIL; m],
+            prev: vec![NIL; m],
+            count: vec![0; m],
+        };
+        for (k, c) in col.iter().enumerate() {
+            search.link(k, c.len());
+        }
+        search
+    }
+
+    fn link(&mut self, k: usize, count: usize) {
+        self.count[k] = count;
+        self.prev[k] = NIL;
+        self.next[k] = self.head[count];
+        if self.head[count] != NIL {
+            self.prev[self.head[count]] = k;
+        }
+        self.head[count] = k;
+    }
+
+    fn unlink(&mut self, k: usize) {
+        let (prev, next) = (self.prev[k], self.next[k]);
+        if prev == NIL {
+            self.head[self.count[k]] = next;
+        } else {
+            self.next[prev] = next;
+        }
+        if next != NIL {
+            self.prev[next] = prev;
+        }
+    }
+
+    /// The next pivot `(row, column)`, or `None` when the basis is
+    /// singular.
+    fn next_pivot(&mut self, col: &[WorkCol], row_cols: &[Vec<usize>]) -> Option<(usize, usize)> {
+        if self.singular {
+            return None;
+        }
+        // Case (a): the lowest column with an eligible score-0 entry.
+        while let Some(k) = self.fill_free.first() {
+            if self.active[k] {
+                if let Some(r) = fill_free_entry(&col[k], row_cols) {
+                    return Some((r, k));
+                }
+            }
+            self.fill_free.pop_first();
+        }
+        // Case (b): the cheapest eligible entry, by count bucket.
+        let mut best: Option<(usize, f64, usize, usize)> = None; // (score, |v|, k, r)
+        for cc in 1..self.head.len() {
+            if best.is_some_and(|(score, ..)| cc - 1 > score) {
+                break;
+            }
+            let mut k = self.head[cc];
+            while k != NIL {
+                debug_assert_eq!(col[k].len(), cc, "stale count bucket");
+                let colmax = col_max(&col[k]);
+                for &(r, v) in &col[k] {
+                    let va = v.abs();
+                    if !eligible(va, colmax) {
+                        continue;
+                    }
+                    let score = (row_cols[r].len() - 1) * (cc - 1);
+                    let better = match best {
+                        None => true,
+                        Some((bs, bv, bk, br)) => {
+                            score < bs
+                                || (score == bs && (va > bv || (va == bv && (k, r) < (bk, br))))
+                        }
+                    };
+                    if better {
+                        best = Some((score, va, k, r));
+                    }
+                }
+                k = self.next[k];
+            }
+        }
+        best.map(|(_, _, k, r)| (r, k))
+    }
+
+    /// Records an elimination step on column `pk` whose pivot row touched
+    /// the columns of `urow` and whose pivot column spanned the rows of
+    /// `lcol` (the only rows whose counts changed).
+    fn eliminated(
+        &mut self,
+        pk: usize,
+        urow: &[(usize, f64)],
+        lcol: &[(usize, f64)],
+        col: &[WorkCol],
+        row_cols: &[Vec<usize>],
+    ) {
+        self.active[pk] = false;
+        self.unlink(pk);
+        for &(j, _) in urow {
+            self.unlink(j);
+            self.link(j, col[j].len());
+            self.fill_free.insert(j);
+            self.singular |= col_singular(&col[j]);
+        }
+        for &(i, _) in lcol {
+            if let [k] = row_cols[i][..] {
+                self.fill_free.insert(k);
+            }
+        }
+    }
+}
+
+/// The pivot row of column `c` under case (a) of [`PivotSearch`]: its
+/// largest-magnitude eligible score-0 entry (first by row on ties), if
+/// any.
+fn fill_free_entry(c: &WorkCol, row_cols: &[Vec<usize>]) -> Option<usize> {
+    let colmax = col_max(c);
+    let mut best: Option<(usize, f64)> = None;
+    for &(r, v) in c {
+        let va = v.abs();
+        if eligible(va, colmax)
+            && (c.len() == 1 || row_cols[r].len() == 1)
+            && best.is_none_or(|(_, bv)| va > bv)
+        {
+            best = Some((r, va));
+        }
+    }
+    best.map(|(r, _)| r)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference factorization: the straightforward Markowitz scan
+    /// (every active column rescanned at every step) and the dense
+    /// Forrest–Tomlin update (an `m`-long spike over every step, a scan of
+    /// every `upper` list, an ordered-map pending row), kept verbatim as
+    /// the oracle the production kernels must match bit for bit.
+    mod reference {
+        use super::super::{
+            FactorError, DROP_TOL, ETA_CAP, FT_FILL_CAP, FT_STAB_TOL, LU_THRESHOLD, PIVOT_EPS,
+            SINGULAR_TOL,
+        };
+        use crate::core::ColumnStore;
+
+        #[derive(Debug, Clone)]
+        pub(super) struct RowEta {
+            pub(super) target: usize,
+            pub(super) terms: Vec<(usize, f64)>,
+        }
+
+        #[derive(Debug, Clone, Default)]
+        pub(super) struct LuFactor {
+            pub(super) m: usize,
+            pub(super) pivot_row: Vec<usize>,
+            pub(super) pivot_col: Vec<usize>,
+            pub(super) upivot: Vec<f64>,
+            pub(super) lower: Vec<Vec<(usize, f64)>>,
+            pub(super) upper: Vec<Vec<(usize, f64)>>,
+            pub(super) order: Vec<usize>,
+            pub(super) order_pos: Vec<usize>,
+            pub(super) col_step: Vec<usize>,
+            pub(super) row_step: Vec<usize>,
+            pub(super) ltrans: Vec<Vec<usize>>,
+            pub(super) utrans: Vec<Vec<usize>>,
+            pub(super) row_etas: Vec<RowEta>,
+            pub(super) compactions: usize,
+        }
+
+        impl LuFactor {
+            /// Replaces the basic column at position `p`; `d = B⁻¹A_q` is the
+            /// ftran'd entering column.  On `Err` the factorization is unchanged
+            /// and the caller must refactorize before the next solve.
+            pub(super) fn update(&mut self, p: usize, d: &[f64]) -> Result<(), FactorError> {
+                let dp = d[p];
+                if dp.abs() < PIVOT_EPS || !dp.is_finite() {
+                    return Err(FactorError::UnstablePivot);
+                }
+                if self.row_etas.len() >= ETA_CAP {
+                    return Err(FactorError::NeedsRefactorization);
+                }
+                let m = self.m;
+                let t_p = self.col_step[p];
+                let r_p = self.pivot_row[t_p];
+                let pos_p = self.order_pos[t_p];
+
+                // Spike v = U·d by constraint row.  Since d = B⁻¹a_q and
+                // B = L·R⁻¹·U, this equals R·L⁻¹·a_q — exactly the column that
+                // must replace column `p` of U for the invariant to keep holding.
+                let mut spike = vec![0.0; m];
+                let mut spike_max = 0.0f64;
+                for t in 0..m {
+                    let mut s = self.upivot[t] * d[self.pivot_col[t]];
+                    for &(j, u) in &self.upper[t] {
+                        s += u * d[j];
+                    }
+                    if s.abs() <= DROP_TOL {
+                        s = 0.0;
+                    }
+                    spike[self.pivot_row[t]] = s;
+                    spike_max = spike_max.max(s.abs());
+                }
+
+                // With column `p` replaced and step `t_p` moved to the end of the
+                // elimination order, only the old row of step `t_p` breaks
+                // triangularity: its surviving entries now sit below the diagonal.
+                // Dry-run its elimination (nothing mutated yet, so any decline
+                // leaves the factorization untouched), accumulating the row eta.
+                use std::collections::BTreeMap;
+                let mut pending: BTreeMap<usize, f64> = self.upper[t_p]
+                    .iter()
+                    .filter(|&&(j, _)| j != p)
+                    .copied()
+                    .collect();
+                let mut pend_p = spike[r_p];
+                let mut terms: Vec<(usize, f64)> = Vec::new();
+                for pos in pos_p + 1..m {
+                    let s = self.order[pos];
+                    let Some(u) = pending.remove(&self.pivot_col[s]) else {
+                        continue;
+                    };
+                    if u.abs() <= DROP_TOL {
+                        continue;
+                    }
+                    let mult = u / self.upivot[s];
+                    terms.push((self.pivot_row[s], mult));
+                    if terms.len() > FT_FILL_CAP {
+                        return Err(FactorError::NeedsRefactorization);
+                    }
+                    for &(j2, u2) in &self.upper[s] {
+                        if j2 == p {
+                            continue;
+                        }
+                        let e = pending.entry(j2).or_insert(0.0);
+                        *e -= mult * u2;
+                        if e.abs() <= DROP_TOL {
+                            pending.remove(&j2);
+                        }
+                    }
+                    // Row `pivot_row[s]`'s entry in the replaced column is the
+                    // spike value, kept out of `pending` and tracked separately.
+                    pend_p -= mult * spike[self.pivot_row[s]];
+                }
+                debug_assert!(
+                    pending.is_empty(),
+                    "pending row should eliminate completely"
+                );
+                let new_diag = pend_p;
+                if new_diag.abs() < FT_STAB_TOL * spike_max || new_diag.abs() < SINGULAR_TOL {
+                    return Err(FactorError::UnstablePivot);
+                }
+
+                // Commit.  Replace column `p` of U with the spike (retired entries
+                // are the growth a product-form eta file would have kept).  The
+                // Uᵀ adjacency for column `p` is rebuilt exactly here; removals
+                // elsewhere leave stale `utrans` entries, which the hyper-sparse
+                // solves tolerate as a superset.
+                self.utrans[p].clear();
+                for t in 0..m {
+                    if let Some(idx) = self.upper[t].iter().position(|&(j, _)| j == p) {
+                        self.upper[t].swap_remove(idx);
+                        self.compactions += 1;
+                    }
+                    if t != t_p {
+                        let sv = spike[self.pivot_row[t]];
+                        if sv != 0.0 {
+                            self.upper[t].push((p, sv));
+                            self.utrans[p].push(t);
+                        }
+                    }
+                }
+                // ...retire the eliminated row, move its step to the end of the
+                // elimination order, and record the row eta for solves.
+                self.compactions += self.upper[t_p].len();
+                self.upper[t_p].clear();
+                self.upivot[t_p] = new_diag;
+                self.order.remove(pos_p);
+                self.order.push(t_p);
+                for (pos, &t) in self.order.iter().enumerate().skip(pos_p) {
+                    self.order_pos[t] = pos;
+                }
+                if !terms.is_empty() {
+                    self.row_etas.push(RowEta { target: r_p, terms });
+                }
+                Ok(())
+            }
+
+            /// Rebuilds from the pristine basis columns; returns `false` (leaving
+            /// the previous factorization in place) when the basis is numerically
+            /// singular.
+            pub(super) fn refactorize(
+                &mut self,
+                m: usize,
+                basis: &[usize],
+                cols: &ColumnStore,
+            ) -> bool {
+                use std::collections::{BTreeMap, BTreeSet};
+
+                // Active working matrix, column-major with a row→columns index so
+                // both Markowitz counts are maintainable.  BTree containers keep the
+                // iteration order — and with it the pivot sequence — deterministic.
+                let mut col: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); m];
+                let mut row_cols: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); m];
+                for (k, &c) in basis.iter().enumerate() {
+                    cols.for_each(c, &mut |r, a| {
+                        if a != 0.0 {
+                            *col[k].entry(r).or_insert(0.0) += a;
+                            row_cols[r].insert(k);
+                        }
+                    });
+                }
+                let mut col_active = vec![true; m];
+                let mut pivot_row = Vec::with_capacity(m);
+                let mut pivot_col = Vec::with_capacity(m);
+                let mut upivot = Vec::with_capacity(m);
+                let mut lower: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+                let mut upper: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+
+                for _step in 0..m {
+                    // Markowitz pivot search: minimize (rowcount−1)·(colcount−1)
+                    // among entries above the stability threshold of their column.
+                    let mut best: Option<(usize, usize, usize, f64)> = None; // (score, r, k, |v|)
+                    for (k, active) in col_active.iter().enumerate() {
+                        if !active {
+                            continue;
+                        }
+                        let cc = col[k].len();
+                        let colmax = col[k].values().fold(0.0f64, |acc, v| acc.max(v.abs()));
+                        if cc == 0 || colmax < SINGULAR_TOL {
+                            return false; // structurally or numerically singular
+                        }
+                        for (&r, &v) in &col[k] {
+                            let va = v.abs();
+                            if va < LU_THRESHOLD * colmax || va < SINGULAR_TOL {
+                                continue;
+                            }
+                            let score = (row_cols[r].len() - 1) * (cc - 1);
+                            let better = match best {
+                                None => true,
+                                Some((bs, _, _, bv)) => score < bs || (score == bs && va > bv),
+                            };
+                            if better {
+                                best = Some((score, r, k, va));
+                            }
+                        }
+                        if matches!(best, Some((0, ..))) {
+                            break; // a fill-free pivot cannot be beaten
+                        }
+                    }
+                    let Some((_, pr, pk, _)) = best else {
+                        return false;
+                    };
+                    let pivot = col[pk][&pr];
+                    // Snapshot the pivot row (U) and pivot column (L multipliers).
+                    let urow: Vec<(usize, f64)> = row_cols[pr]
+                        .iter()
+                        .filter(|&&j| j != pk)
+                        .map(|&j| (j, col[j][&pr]))
+                        .collect();
+                    let lcol: Vec<(usize, f64)> = col[pk]
+                        .iter()
+                        .filter(|&(&i, _)| i != pr)
+                        .map(|(&i, &v)| (i, v / pivot))
+                        .collect();
+                    // Eliminate: col_j ← col_j − (a_rj / pivot-scaled) updates.
+                    for &(j, urj) in &urow {
+                        for &(i, l) in &lcol {
+                            let e = col[j].entry(i).or_insert(0.0);
+                            *e -= l * urj;
+                            if e.abs() < DROP_TOL {
+                                col[j].remove(&i);
+                                row_cols[i].remove(&j);
+                            } else {
+                                row_cols[i].insert(j);
+                            }
+                        }
+                        col[j].remove(&pr);
+                    }
+                    // Deactivate the pivot row and column.
+                    for (&i, _) in col[pk].iter() {
+                        row_cols[i].remove(&pk);
+                    }
+                    col[pk].clear();
+                    row_cols[pr].clear();
+                    col_active[pk] = false;
+                    pivot_row.push(pr);
+                    pivot_col.push(pk);
+                    upivot.push(pivot);
+                    lower.push(lcol);
+                    upper.push(urow);
+                }
+
+                let mut col_step = vec![0usize; m];
+                let mut row_step = vec![0usize; m];
+                for (t, &k) in pivot_col.iter().enumerate() {
+                    col_step[k] = t;
+                }
+                for (t, &r) in pivot_row.iter().enumerate() {
+                    row_step[r] = t;
+                }
+                // Transpose adjacencies for the hyper-sparse solves: exact at
+                // refactorization time (updates keep `utrans` a sound superset).
+                let mut ltrans: Vec<Vec<usize>> = vec![Vec::new(); m];
+                for (t, lcol) in lower.iter().enumerate() {
+                    for &(i, _) in lcol {
+                        ltrans[i].push(t);
+                    }
+                }
+                let mut utrans: Vec<Vec<usize>> = vec![Vec::new(); m];
+                for (t, urow) in upper.iter().enumerate() {
+                    for &(j, _) in urow {
+                        utrans[j].push(t);
+                    }
+                }
+                self.m = m;
+                self.pivot_row = pivot_row;
+                self.pivot_col = pivot_col;
+                self.upivot = upivot;
+                self.lower = lower;
+                self.upper = upper;
+                self.order = (0..m).collect();
+                self.order_pos = (0..m).collect();
+                self.col_step = col_step;
+                self.row_step = row_step;
+                self.ltrans = ltrans;
+                self.utrans = utrans;
+                self.row_etas.clear();
+                // `compactions` is a lifetime counter and deliberately survives.
+                true
+            }
+        }
+    }
+
+    /// Requires `new` and the reference to hold bitwise-identical factors
+    /// (and `new`'s update scratch to be back at rest).
+    fn assert_same_factors(new: &LuFactor, old: &reference::LuFactor) {
+        fn bits(lists: &[Vec<(usize, f64)>]) -> Vec<Vec<(usize, u64)>> {
+            lists
+                .iter()
+                .map(|l| l.iter().map(|&(i, v)| (i, v.to_bits())).collect())
+                .collect()
+        }
+        let upivot = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(new.m, old.m, "m");
+        assert_eq!(new.pivot_row, old.pivot_row, "pivot_row");
+        assert_eq!(new.pivot_col, old.pivot_col, "pivot_col");
+        assert_eq!(upivot(&new.upivot), upivot(&old.upivot), "upivot");
+        assert_eq!(bits(&new.lower), bits(&old.lower), "lower");
+        assert_eq!(bits(&new.upper), bits(&old.upper), "upper");
+        assert_eq!(new.order, old.order, "order");
+        assert_eq!(new.order_pos, old.order_pos, "order_pos");
+        assert_eq!(new.col_step, old.col_step, "col_step");
+        assert_eq!(new.row_step, old.row_step, "row_step");
+        assert_eq!(new.ltrans, old.ltrans, "ltrans");
+        assert_eq!(new.utrans, old.utrans, "utrans");
+        let new_etas: Vec<_> = new
+            .row_etas
+            .iter()
+            .map(|e| (e.target, bits(&[new.eta_terms[e.start..e.end].to_vec()])))
+            .collect();
+        let old_etas: Vec<_> = old
+            .row_etas
+            .iter()
+            .map(|e| (e.target, bits(std::slice::from_ref(&e.terms))))
+            .collect();
+        assert_eq!(new_etas, old_etas, "row etas");
+        assert_eq!(new.compactions, old.compactions, "compactions");
+        let ws = &new.scratch;
+        assert!(
+            ws.spike.iter().all(|&x| x == 0.0)
+                && ws.pend.iter().all(|&x| x == 0.0)
+                && !ws
+                    .step_seen
+                    .iter()
+                    .chain(&ws.pend_live)
+                    .chain(&ws.pend_queued)
+                    .any(|&f| f)
+                && ws.steps.is_empty()
+                && ws.pend_touched.is_empty()
+                && ws.heap.is_empty(),
+            "update scratch not restored"
+        );
+    }
 
     /// Allocating conveniences over the workspace kernels, for tests.
     impl LuFactor {
@@ -1095,6 +1875,17 @@ mod tests {
             ws.load_sparse(entries, self.dim());
             self.ftran_ws(&mut ws);
             ws.sol_vec()
+        }
+
+        /// `ftran` plus the kernel's result pattern when it stayed sparse —
+        /// the support an [`update`](LuFactor::update) may walk.
+        fn ftran_with_support(&self, b: &[f64]) -> (Vec<f64>, Option<Vec<usize>>) {
+            let mut ws = KernelWs::default();
+            ws.load_dense(b);
+            ws.ensure(self.dim());
+            self.ftran_ws(&mut ws);
+            ws.dim = self.dim();
+            (ws.sol_vec(), ws.sparse.then(|| ws.pattern.clone()))
         }
 
         fn btran(&self, c: &[f64]) -> Vec<f64> {
@@ -1254,7 +2045,7 @@ mod tests {
         let d_lu = lu.ftran(&a3);
         assert_vec_close(&d_dense, &d_lu);
         dense.update(0, &d_dense).unwrap();
-        lu.update(0, &d_lu).unwrap();
+        lu.update(0, &d_lu, None).unwrap();
         // A Forrest–Tomlin update keeps U compact: at most one row eta.
         assert!(lu.eta_count() <= 1);
         assert_vec_close(&dense.ftran(&b), &lu.ftran(&b));
@@ -1292,7 +2083,7 @@ mod tests {
             let d = lu.ftran(&a);
             assert_vec_close(&dense.ftran(&a), &d);
             dense.update(pos, &d).unwrap();
-            lu.update(pos, &d).unwrap();
+            lu.update(pos, &d, None).unwrap();
             basis[pos] = col;
             for probe in &probes {
                 assert_vec_close(&dense.ftran(probe), &lu.ftran(probe));
@@ -1326,7 +2117,10 @@ mod tests {
         /// arbitrary Forrest–Tomlin updates (refactorizing whenever an update
         /// declines, exactly as the simplex core does) must agree with the
         /// dense inverse after every pivot and with a from-scratch
-        /// refactorization of the final basis at the end.
+        /// refactorization of the final basis at the end.  The reference
+        /// factorization runs side by side: every update must reach the
+        /// same verdict and leave bitwise-equal factors, with `d`'s support
+        /// handed over on odd pivots and scanned on even ones.
         #[test]
         fn prop_ft_updates_match_refactorize_after_random_pivots(
             m in 3usize..7,
@@ -1351,11 +2145,14 @@ mod tests {
             let mut basis: Vec<usize> = (0..m).collect();
             let mut dense = DenseInverse::default();
             let mut lu = LuFactor::default();
+            let mut oracle = reference::LuFactor::default();
             proptest::prop_assert!(dense.refactorize(m, &basis, &cols));
             proptest::prop_assert!(lu.refactorize(m, &basis, &cols));
+            proptest::prop_assert!(oracle.refactorize(m, &basis, &cols));
+            assert_same_factors(&lu, &oracle);
 
             let probe: Vec<f64> = (0..m).map(|i| 1.0 - 0.5 * i as f64).collect();
-            for &(pos, spare) in &pivots {
+            for (step, &(pos, spare)) in pivots.iter().enumerate() {
                 let (pos, col) = (pos % m, m + spare);
                 let mut a = vec![0.0; m];
                 cols.for_each(col, &mut |r, v| a[r] += v);
@@ -1363,14 +2160,23 @@ mod tests {
                 for (x, y) in dense.ftran(&a).iter().zip(&d) {
                     proptest::prop_assert!((x - y).abs() < 1e-8);
                 }
+                let support: Vec<usize> = (0..m).filter(|&j| d[j] != 0.0).collect();
+                let given = (step % 2 == 1).then_some(&support[..]);
+                let verdict = lu.update(pos, &d, given);
+                proptest::prop_assert_eq!(verdict, oracle.update(pos, &d));
+                assert_same_factors(&lu, &oracle);
                 // Mirror the solver contract: a declined update on either
                 // side refactorizes both on the *old* basis and retries the
                 // pivot from pristine factors.
-                if lu.update(pos, &d).is_err() || dense.update(pos, &d).is_err() {
+                if verdict.is_err() || dense.update(pos, &d).is_err() {
                     proptest::prop_assert!(dense.refactorize(m, &basis, &cols));
                     proptest::prop_assert!(lu.refactorize(m, &basis, &cols));
+                    proptest::prop_assert!(oracle.refactorize(m, &basis, &cols));
                     let d = lu.ftran(&a);
-                    if lu.update(pos, &d).is_err() {
+                    let verdict = lu.update(pos, &d, None);
+                    proptest::prop_assert_eq!(verdict, oracle.update(pos, &d));
+                    assert_same_factors(&lu, &oracle);
+                    if verdict.is_err() {
                         continue; // genuinely unstable pivot: skip it
                     }
                     dense.update(pos, &dense.ftran(&a)).unwrap();
@@ -1407,7 +2213,7 @@ mod tests {
         let mut a = vec![0.0; m];
         cols.for_each(m, &mut |r, v| a[r] += v);
         let d = reused.ftran(&a);
-        reused.update(0, &d).unwrap();
+        reused.update(0, &d, None).unwrap();
         reused.set_identity(m);
 
         let mut unit = ColumnStore::default();
@@ -1437,7 +2243,7 @@ mod tests {
         let mut a = vec![0.0; 2];
         cols.for_each(2, &mut |r, v| a[r] += v);
         let d = lu.ftran(&a);
-        assert_eq!(lu.update(0, &d), Err(FactorError::UnstablePivot));
+        assert_eq!(lu.update(0, &d, None), Err(FactorError::UnstablePivot));
         // Still solves for the *old* basis.
         let b = [3.0, -4.0];
         assert_vec_close(&lu.ftran(&b), &b);
@@ -1538,15 +2344,15 @@ mod tests {
             let col = m + spare;
             let mut a = vec![0.0; m];
             cols.for_each(col, &mut |r, v| a[r] += v);
-            let d = lu.ftran(&a);
+            let (d, support) = lu.ftran_with_support(&a);
             assert_vec_close(&dense.ftran(&a), &d);
             // Mirror the solver contract: a declined update refactorizes
             // both sides on the old basis and retries from pristine factors.
-            if lu.update(pos, &d).is_err() || dense.update(pos, &d).is_err() {
+            if lu.update(pos, &d, support.as_deref()).is_err() || dense.update(pos, &d).is_err() {
                 assert!(dense.refactorize(m, &basis, &cols));
                 assert!(lu.refactorize(m, &basis, &cols));
-                let d = lu.ftran(&a);
-                if lu.update(pos, &d).is_err() {
+                let (d, support) = lu.ftran_with_support(&a);
+                if lu.update(pos, &d, support.as_deref()).is_err() {
                     continue;
                 }
                 dense.update(pos, &dense.ftran(&a)).unwrap();
@@ -1578,16 +2384,23 @@ mod tests {
             let (cols, mut basis) = circulant(m);
             let mut dense = DenseInverse::default();
             let mut lu = LuFactor::default();
+            let mut oracle = reference::LuFactor::default();
             proptest::prop_assert!(dense.refactorize(m, &basis, &cols));
             proptest::prop_assert!(lu.refactorize(m, &basis, &cols));
+            proptest::prop_assert!(oracle.refactorize(m, &basis, &cols));
             for &(pos, spare) in &pivots {
                 let (pos, col) = (pos % m, m + spare % m);
                 let mut a = vec![0.0; m];
                 cols.for_each(col, &mut |r, v| a[r] += v);
-                let d = lu.ftran(&a);
-                if lu.update(pos, &d).is_err() || dense.update(pos, &d).is_err() {
+                // The sparse update walks the ftran's own result pattern.
+                let (d, support) = lu.ftran_with_support(&a);
+                let verdict = lu.update(pos, &d, support.as_deref());
+                proptest::prop_assert_eq!(verdict, oracle.update(pos, &d));
+                assert_same_factors(&lu, &oracle);
+                if verdict.is_err() || dense.update(pos, &d).is_err() {
                     proptest::prop_assert!(dense.refactorize(m, &basis, &cols));
                     proptest::prop_assert!(lu.refactorize(m, &basis, &cols));
+                    proptest::prop_assert!(oracle.refactorize(m, &basis, &cols));
                     continue;
                 }
                 basis[pos] = col;
@@ -1651,6 +2464,178 @@ mod tests {
                     proptest::prop_assert!((z - y).abs() < 1e-6 * scale, "{label} dense {z} vs {y}");
                 }
             }
+        }
+    }
+
+    /// An update allocates nothing of its own: replaying the same pivot
+    /// sequence from the same refactorization reuses every update buffer
+    /// and the eta arena in place (same addresses, same capacities).
+    #[test]
+    fn ft_updates_reuse_their_buffers() {
+        let m = 48;
+        let (cols, basis) = circulant(m);
+        let mut lu = LuFactor::default();
+        let buffers = |lu: &LuFactor| {
+            let ws = &lu.scratch;
+            [
+                (ws.spike.as_ptr() as usize, ws.spike.capacity()),
+                (ws.steps.as_ptr() as usize, ws.steps.capacity()),
+                (ws.step_seen.as_ptr() as usize, ws.step_seen.capacity()),
+                (ws.pend.as_ptr() as usize, ws.pend.capacity()),
+                (ws.pend_live.as_ptr() as usize, ws.pend_live.capacity()),
+                (ws.pend_queued.as_ptr() as usize, ws.pend_queued.capacity()),
+                (
+                    ws.pend_touched.as_ptr() as usize,
+                    ws.pend_touched.capacity(),
+                ),
+                (ws.heap.as_ptr() as usize, ws.heap.capacity()),
+                (lu.eta_terms.as_ptr() as usize, lu.eta_terms.capacity()),
+                (lu.row_etas.as_ptr() as usize, lu.row_etas.capacity()),
+            ]
+        };
+        let replay = |lu: &mut LuFactor| {
+            assert!(lu.refactorize(m, &basis, &cols));
+            let mut applied = 0;
+            for spare in [0usize, 4, 9, 2, 20, 33] {
+                let mut a = vec![0.0; m];
+                cols.for_each(m + spare, &mut |r, v| a[r] += v);
+                let (d, support) = lu.ftran_with_support(&a);
+                // Leave at the direction's largest entry (a stable pivot).
+                let pos = (0..m)
+                    .max_by(|&x, &y| d[x].abs().total_cmp(&d[y].abs()))
+                    .unwrap();
+                if lu.update(pos, &d, support.as_deref()).is_ok() {
+                    applied += 1;
+                }
+            }
+            assert!(applied >= 4 && lu.eta_count() > 0, "sequence too weak");
+        };
+        replay(&mut lu);
+        let warmed = buffers(&lu);
+        replay(&mut lu);
+        assert_eq!(buffers(&lu), warmed);
+    }
+
+    /// Entry values for random sparse bases: exact magnitude ties, the
+    /// threshold edge (0.1 of 1.0 is eligible, 0.099 is not), and values
+    /// below `SINGULAR_TOL`.
+    const PALETTE: [f64; 12] = [
+        1.0, -1.0, 2.0, -2.0, 0.5, 0.1, -0.1, 10.0, 0.099, 3.0, 9e-12, -5e-12,
+    ];
+
+    /// Factors `columns` (as basis `0..m`) with both implementations, each
+    /// starting from the same prior factorization, and requires the same
+    /// verdict and bitwise-equal factors; returns the verdict.
+    fn refactorize_both(columns: &[Vec<(usize, f64)>]) -> bool {
+        let m = columns.len();
+        let entries: Vec<&[(usize, f64)]> = columns.iter().map(|c| &c[..]).collect();
+        let cols = store_from(&entries);
+        let basis: Vec<usize> = (0..m).collect();
+        // A prior factorization that a singular verdict must leave alone.
+        let (prior_cols, prior_basis) = circulant(m);
+        let mut lu = LuFactor::default();
+        let mut oracle = reference::LuFactor::default();
+        assert!(lu.refactorize(m, &prior_basis, &prior_cols));
+        assert!(oracle.refactorize(m, &prior_basis, &prior_cols));
+        let verdict = lu.refactorize(m, &basis, &cols);
+        assert_eq!(verdict, oracle.refactorize(m, &basis, &cols), "verdict");
+        assert_same_factors(&lu, &oracle);
+        verdict
+    }
+
+    /// Hand-made bases for each branch of the pivot search.
+    #[test]
+    fn refactorize_matches_reference_on_edge_bases() {
+        let tiny = 5e-12; // below SINGULAR_TOL
+                          // Two identical columns: singular in case (b).
+        assert!(!refactorize_both(&[
+            vec![(0, 1.0), (1, 2.0)],
+            vec![(0, 1.0), (1, 2.0)],
+        ]));
+        // A below-tolerance column before the first singleton column: the
+        // scan meets it before it can stop.
+        assert!(!refactorize_both(&[
+            vec![(0, tiny), (1, tiny)],
+            vec![(0, 1.0)],
+            vec![(1, 1.0), (2, 1.0)],
+        ]));
+        // ...and after it: the scan pivots on the singleton first and meets
+        // the (unrecoverable) bad column at a later step.
+        assert!(!refactorize_both(&[
+            vec![(0, 1.0)],
+            vec![(1, tiny), (2, tiny)],
+            vec![(1, 1.0), (2, 1.0)],
+        ]));
+        // An empty column behind a row singleton.
+        assert!(!refactorize_both(&[
+            vec![(0, 1.0), (1, 1.0)],
+            vec![(1, 2.0)],
+            vec![],
+        ]));
+        // Duplicate entries cancelling to a stored exact zero.
+        assert!(refactorize_both(&[
+            vec![(0, 1.0), (1, 1.0), (1, -1.0)],
+            vec![(1, 2.0), (0, 1.0)],
+        ]));
+        // Equal magnitudes everywhere: every choice is settled by the
+        // score and (column, row) tie-breaks, in case (b) throughout.
+        assert!(refactorize_both(&[
+            vec![(0, 1.0), (1, 1.0), (3, -1.0)],
+            vec![(0, -1.0), (1, 1.0), (2, 1.0)],
+            vec![(1, -1.0), (2, 1.0), (3, 1.0)],
+            vec![(0, 1.0), (2, -1.0), (3, 1.0)],
+        ]));
+        // Equal-magnitude score-0 candidates in three columns (a row
+        // singleton and two column singletons): the lowest column wins.
+        assert!(refactorize_both(&[
+            vec![(0, 1.0), (1, 1.0)],
+            vec![(1, 1.0)],
+            vec![(2, -1.0)],
+        ]));
+        // Equal-magnitude score-0 candidates in one column (rows 1 and 2
+        // meet only column 0): the first by row pivots, then the basis
+        // is structurally singular.
+        assert!(!refactorize_both(&[
+            vec![(0, 2.0), (1, -3.0), (2, 3.0)],
+            vec![(0, 1.0), (3, 1.0)],
+            vec![(0, 1.0), (3, 2.0), (4, 1.0)],
+            vec![(3, 1.0), (4, 1.0)],
+            vec![(0, 1.0), (4, -1.0)],
+        ]));
+        // The identity and a banded basis.
+        assert!(refactorize_both(
+            &(0..6).map(|k| vec![(k, 1.0)]).collect::<Vec<_>>()
+        ));
+        let banded: Vec<Vec<(usize, f64)>> = (0..8)
+            .map(|k| vec![(k, 2.0), ((k + 1) % 8, 1.0), ((k + 3) % 8, -1.0)])
+            .collect();
+        assert!(refactorize_both(&banded));
+    }
+
+    proptest::proptest! {
+        /// Random sparse bases, factored by the exact bucketed search and
+        /// by the reference scan: the same singular verdict and
+        /// bitwise-equal `pivot_row`/`pivot_col`/`upivot`/`lower`/`upper`
+        /// (and every derived array).  Each case is factored in column
+        /// order and reversed, so singleton and tie positions vary.
+        #[test]
+        fn prop_refactorize_matches_reference_on_random_sparse_bases(
+            m in 2usize..16,
+            diag in proptest::collection::vec(0usize..11, 16..17),
+            extra in proptest::collection::vec((0usize..16, 0usize..16, 0usize..12), 0..40),
+        ) {
+            // A diagonal entry (never below tolerance) for most columns
+            // keeps many bases nonsingular; index 10 leaves the column
+            // without one.
+            let mut columns: Vec<Vec<(usize, f64)>> = (0..m)
+                .map(|k| PALETTE[..10].get(diag[k]).map(|&v| (k, v)).into_iter().collect())
+                .collect();
+            for &(k, r, v) in &extra {
+                columns[k % m].push((r % m, PALETTE[v]));
+            }
+            refactorize_both(&columns);
+            columns.reverse();
+            refactorize_both(&columns);
         }
     }
 }

@@ -54,6 +54,9 @@ pub struct SolveStats {
     /// Nanoseconds spent in ratio tests (primal Harris/Bland passes and the
     /// dual entering scan, bound-flip breakpoint walk included).
     pub ratio_ns: u64,
+    /// Nanoseconds spent building and updating the basis factorization
+    /// (LU refactorizations plus Forrest–Tomlin updates).
+    pub factor_ns: u64,
     /// Forward solves completed on the hyper-sparse (Gilbert–Peierls)
     /// path of the LU kernels.
     pub hyper_sparse_ftrans: u64,
@@ -86,6 +89,7 @@ impl SolveStats {
             btran_ns: self.btran_ns + other.btran_ns,
             pricing_ns: self.pricing_ns + other.pricing_ns,
             ratio_ns: self.ratio_ns + other.ratio_ns,
+            factor_ns: self.factor_ns + other.factor_ns,
             hyper_sparse_ftrans: self.hyper_sparse_ftrans + other.hyper_sparse_ftrans,
             hyper_sparse_btrans: self.hyper_sparse_btrans + other.hyper_sparse_btrans,
             dense_fallbacks: self.dense_fallbacks + other.dense_fallbacks,
@@ -533,6 +537,7 @@ mod tests {
             btran_ns: 200,
             pricing_ns: 300,
             ratio_ns: 400,
+            factor_ns: 500,
             hyper_sparse_ftrans: 9,
             hyper_sparse_btrans: 8,
             dense_fallbacks: 2,
@@ -544,6 +549,7 @@ mod tests {
             bound_flips: 4,
             eta_len: 7,
             ftran_ns: 11,
+            factor_ns: 22,
             hyper_sparse_ftrans: 1,
             dense_fallbacks: 3,
             ..SolveStats::default()
@@ -558,6 +564,7 @@ mod tests {
         assert_eq!(merged.eta_len, 10);
         assert_eq!(merged.ftran_ns, 111);
         assert_eq!(merged.btran_ns, 200);
+        assert_eq!(merged.factor_ns, 522);
         assert_eq!(merged.hyper_sparse_ftrans, 10);
         assert_eq!(merged.hyper_sparse_btrans, 8);
         assert_eq!(merged.dense_fallbacks, 5);

@@ -6,7 +6,8 @@
 //! re-minimize must report `kernel_allocs == 0` — no ftran/btran/pricing
 //! buffer was grown — and stay under a pinned total-allocation budget that
 //! covers only the known non-kernel allocators (the refactorization
-//! rebuild, `LuFactor::update`'s per-pivot spike, solution extraction).
+//! rebuild, solution extraction).  `LuFactor::update` keeps its buffers in
+//! the factorization and allocates nothing per pivot.
 //!
 //! This file holds exactly one `#[test]`: the allocation counter is
 //! process-global and a sibling test running concurrently would pollute it.
@@ -50,7 +51,7 @@ static COUNTING: CountingAlloc = CountingAlloc;
 /// kernel layer itself contributes zero (asserted separately through
 /// `kernel_allocs`); what remains is the bounded non-kernel work of one
 /// minimize: the confirmation refactorization's rebuild buffers, solution
-/// extraction, and stats plumbing.  Observed: 19 calls on this fixture;
+/// extraction, and stats plumbing.  Observed: 18 calls on this fixture;
 /// pinned at ~6× so a real per-iteration regression (which scales with
 /// pivots × rows) blows through it while incidental churn does not.
 const STEADY_STATE_ALLOC_BUDGET: u64 = 128;

@@ -4,7 +4,8 @@
 //! vendors the slice of criterion's API that its benches use:
 //! [`Criterion::bench_function`], [`Criterion::benchmark_group`],
 //! [`BenchmarkGroup::bench_with_input`], [`BenchmarkId`], [`Bencher::iter`],
-//! and the [`criterion_group!`]/[`criterion_main!`] macros.
+//! [`Bencher::iter_custom`], and the [`criterion_group!`]/[`criterion_main!`]
+//! macros.
 //!
 //! Instead of criterion's statistical machinery this harness measures each
 //! benchmark for a handful of samples and reports the fastest one (the usual
@@ -30,6 +31,19 @@ impl Bencher {
             let start = Instant::now();
             std::hint::black_box(f());
             let elapsed = start.elapsed();
+            if self.best.map(|b| elapsed < b).unwrap_or(true) {
+                self.best = Some(elapsed);
+            }
+        }
+    }
+
+    /// Lets `f` time `iters` iterations itself and return the elapsed time
+    /// (criterion's escape hatch for routines that need untimed set-up
+    /// between iterations); records the fastest single-iteration sample.
+    pub fn iter_custom<F: FnMut(u64) -> Duration>(&mut self, mut f: F) {
+        f(1);
+        for _ in 0..self.samples.max(1) {
+            let elapsed = f(1);
             if self.best.map(|b| elapsed < b).unwrap_or(true) {
                 self.best = Some(elapsed);
             }

@@ -146,6 +146,9 @@ pub struct LpStats {
     pub pricing_ns: u64,
     /// Total nanoseconds spent in primal/dual ratio tests.
     pub ratio_ns: u64,
+    /// Total nanoseconds spent building and updating the basis
+    /// factorization (LU refactorizations plus Forrest–Tomlin updates).
+    pub factor_ns: u64,
     /// Total LU forward solves that completed on the hyper-sparse path.
     pub hyper_sparse_ftrans: u64,
     /// Total LU backward solves that completed on the hyper-sparse path.
@@ -184,6 +187,7 @@ impl LpStats {
             btran_ns: groups.iter().map(|g| g.btran_ns).sum(),
             pricing_ns: groups.iter().map(|g| g.pricing_ns).sum(),
             ratio_ns: groups.iter().map(|g| g.ratio_ns).sum(),
+            factor_ns: groups.iter().map(|g| g.factor_ns).sum(),
             hyper_sparse_ftrans: groups.iter().map(|g| g.hyper_sparse_ftrans).sum(),
             hyper_sparse_btrans: groups.iter().map(|g| g.hyper_sparse_btrans).sum(),
             dense_fallbacks: groups.iter().map(|g| g.dense_fallbacks).sum(),
@@ -388,7 +392,7 @@ impl AnalysisReport {
             .iter()
             .map(|g| {
                 format!(
-                    "{{\"name\":{},\"variables\":{},\"constraints\":{},\"iterations\":{},\"refactorizations\":{},\"presolve_rows\":{},\"presolve_cols\":{},\"etas\":{},\"dual_pivots\":{},\"bound_flips\":{},\"eta_compactions\":{},\"eta_len\":{},\"ftran_ns\":{},\"btran_ns\":{},\"pricing_ns\":{},\"ratio_ns\":{},\"hyper_sparse_ftrans\":{},\"hyper_sparse_btrans\":{},\"dense_fallbacks\":{},\"kernel_allocs\":{}}}",
+                    "{{\"name\":{},\"variables\":{},\"constraints\":{},\"iterations\":{},\"refactorizations\":{},\"presolve_rows\":{},\"presolve_cols\":{},\"etas\":{},\"dual_pivots\":{},\"bound_flips\":{},\"eta_compactions\":{},\"eta_len\":{},\"ftran_ns\":{},\"btran_ns\":{},\"pricing_ns\":{},\"ratio_ns\":{},\"factor_ns\":{},\"hyper_sparse_ftrans\":{},\"hyper_sparse_btrans\":{},\"dense_fallbacks\":{},\"kernel_allocs\":{}}}",
                     json::string(&g.name),
                     g.variables,
                     g.constraints,
@@ -405,6 +409,7 @@ impl AnalysisReport {
                     g.btran_ns,
                     g.pricing_ns,
                     g.ratio_ns,
+                    g.factor_ns,
                     g.hyper_sparse_ftrans,
                     g.hyper_sparse_btrans,
                     g.dense_fallbacks,
@@ -414,7 +419,7 @@ impl AnalysisReport {
             .collect::<Vec<_>>()
             .join(",");
         let lp = format!(
-            "{{\"variables\":{},\"constraints\":{},\"solves\":{},\"iterations\":{},\"refactorizations\":{},\"presolve_rows\":{},\"presolve_cols\":{},\"etas\":{},\"dual_pivots\":{},\"bound_flips\":{},\"eta_compactions\":{},\"eta_len\":{},\"ftran_ns\":{},\"btran_ns\":{},\"pricing_ns\":{},\"ratio_ns\":{},\"hyper_sparse_ftrans\":{},\"hyper_sparse_btrans\":{},\"dense_fallbacks\":{},\"kernel_allocs\":{},\"groups\":[{groups}]}}",
+            "{{\"variables\":{},\"constraints\":{},\"solves\":{},\"iterations\":{},\"refactorizations\":{},\"presolve_rows\":{},\"presolve_cols\":{},\"etas\":{},\"dual_pivots\":{},\"bound_flips\":{},\"eta_compactions\":{},\"eta_len\":{},\"ftran_ns\":{},\"btran_ns\":{},\"pricing_ns\":{},\"ratio_ns\":{},\"factor_ns\":{},\"hyper_sparse_ftrans\":{},\"hyper_sparse_btrans\":{},\"dense_fallbacks\":{},\"kernel_allocs\":{},\"groups\":[{groups}]}}",
             self.lp.variables,
             self.lp.constraints,
             self.lp.solves,
@@ -431,6 +436,7 @@ impl AnalysisReport {
             self.lp.btran_ns,
             self.lp.pricing_ns,
             self.lp.ratio_ns,
+            self.lp.factor_ns,
             self.lp.hyper_sparse_ftrans,
             self.lp.hyper_sparse_btrans,
             self.lp.dense_fallbacks,

@@ -287,3 +287,45 @@ fn analysis_failures_carry_context() {
         }
     }
 }
+
+/// The largest Fig. 10 system (the n=8 random-walk chain, global mode,
+/// degree 2) pinned to the bit: LP effort counters and the raw moment
+/// intervals.  Any change to the LU factorization, pricing or ratio tests
+/// that alters a single pivot shows up here; a deliberate algorithmic
+/// change must re-record these numbers and say why.
+#[test]
+fn walk_chain_8_global_is_pinned_to_the_bit() {
+    use central_moment_analysis::SolveMode;
+    let b = suite::synthetic::random_walk_chain(8);
+    let report = Analysis::benchmark(&b)
+        .degree(2)
+        .mode(SolveMode::Global)
+        .soundness(false)
+        .run()
+        .unwrap();
+    let lp = &report.lp;
+    assert_eq!(
+        (
+            lp.iterations,
+            lp.refactorizations,
+            lp.etas,
+            lp.eta_compactions
+        ),
+        (1419, 15, 1512, 3003),
+        "iterations, refactorizations, etas, eta compactions"
+    );
+    let bits: Vec<(u64, u64)> = report
+        .raw_intervals
+        .iter()
+        .map(|i| (i.lo().to_bits(), i.hi().to_bits()))
+        .collect();
+    assert_eq!(
+        bits,
+        [
+            (4607182418800017408, 4607182418800017408),
+            (4634204016564240383, 4634204016564240384),
+            (4661436720560996352, 4661436720560996352),
+        ],
+        "raw moment interval bits"
+    );
+}

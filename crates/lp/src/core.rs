@@ -199,12 +199,6 @@ pub(crate) struct SimplexCore {
     /// Reusable staging buffer for sparse right-hand sides (column entries,
     /// basic costs, bound-flip batches).
     rhs_buf: Vec<(usize, f64)>,
-    /// Superset of the nonzero positions of the last
-    /// [`direction_into`](Self::direction_into) result, valid when
-    /// `d_sparse` (its ftran stayed sparse) — the support the factorization
-    /// update of that direction walks instead of scanning it.
-    d_support: Vec<usize>,
-    d_sparse: bool,
     /// Devex α-scatter workspace: accumulated pivot-row entries by column
     /// (all-zero outside `alpha_touched` between pivots).
     alpha_scratch: Vec<f64>,
@@ -250,8 +244,6 @@ impl SimplexCore {
             compaction_base: 0,
             ws: KernelWs::default(),
             rhs_buf: Vec::new(),
-            d_support: Vec::new(),
-            d_sparse: false,
             alpha_scratch: Vec::new(),
             alpha_touched: Vec::new(),
             alpha_rows: Vec::new(),
@@ -485,21 +477,15 @@ impl SimplexCore {
         self.factor.ftran_ws(&mut self.ws);
         self.stats.ftran_ns += t.elapsed().as_nanos() as u64;
         self.ws.copy_sol_into(out);
-        self.d_sparse = self.ws.sparse;
-        self.d_support.clear();
-        if self.d_sparse {
-            self.d_support.extend_from_slice(&self.ws.pattern);
-        }
     }
 
     /// Replaces the basic column at position `p` in the factorization
-    /// (the basis bookkeeping is the caller's); `d` is the last
-    /// [`direction_into`](Self::direction_into) result.  Timed into
-    /// [`SolveStats::factor_ns`]; `false` when the update declined.
+    /// (the basis bookkeeping is the caller's); `d` is the entering
+    /// column's [`direction_into`](Self::direction_into) result.  Timed
+    /// into [`SolveStats::factor_ns`]; `false` when the update declined.
     pub(crate) fn update_factor(&mut self, p: usize, d: &[f64]) -> bool {
         let t = Instant::now();
-        let support = self.d_sparse.then_some(&self.d_support[..]);
-        let updated = self.factor.update(p, d, support).is_ok();
+        let updated = self.factor.update(p, d).is_ok();
         self.stats.factor_ns += t.elapsed().as_nanos() as u64;
         updated
     }

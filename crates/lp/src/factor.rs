@@ -26,9 +26,6 @@
 //! `refactorize`/`update` bit for bit against the straightforward full-scan
 //! search and dense update they replace (see the test module).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::core::ColumnStore;
 
 /// Minimum magnitude accepted for an update or border pivot (matches the
@@ -868,18 +865,12 @@ impl LuFactor {
     }
 
     /// Replaces the basic column at position `p`; `d = B⁻¹A_q` is the
-    /// ftran'd entering column and `support`, when known, a superset of its
-    /// nonzero positions (the ftran's result pattern; `None` scans `d`).
-    /// On `Err` the factorization is unchanged and the caller must
-    /// refactorize before the next solve.  Work is proportional to the
-    /// nonzeros the update touches, and every buffer lives in the factor,
-    /// so an update allocates nothing.
-    pub(crate) fn update(
-        &mut self,
-        p: usize,
-        d: &[f64],
-        support: Option<&[usize]>,
-    ) -> Result<(), FactorError> {
+    /// ftran'd entering column.  On `Err` the factorization is unchanged
+    /// and the caller must refactorize before the next solve.  Beyond one
+    /// scan of `d`, work is proportional to the nonzeros the update
+    /// touches, and every buffer lives in the factor, so an update
+    /// allocates nothing.
+    pub(crate) fn update(&mut self, p: usize, d: &[f64]) -> Result<(), FactorError> {
         let dp = d[p];
         if dp.abs() < PIVOT_EPS || !dp.is_finite() {
             return Err(FactorError::UnstablePivot);
@@ -902,22 +893,14 @@ impl LuFactor {
         // be nonzero; each is summed in the dense pass's term order, and
         // every other entry of the dense U·d is an exact zero (dropped to
         // +0), so the spike is bit-identical to the dense product.
-        let mut reach = |j: usize| {
-            if d[j] != 0.0 {
+        for (j, &dj) in d.iter().enumerate() {
+            if dj != 0.0 {
                 ws.reach(self.col_step[j]);
                 for &t in &self.utrans[j] {
                     ws.reach(t);
                 }
             }
-        };
-        match support {
-            Some(support) => support.iter().for_each(|&j| reach(j)),
-            None => (0..m).for_each(reach),
         }
-        debug_assert!(
-            (0..m).all(|j| d[j] == 0.0 || ws.step_seen[self.col_step[j]]),
-            "update support misses a nonzero of d"
-        );
         let mut spike_max = 0.0f64;
         for &t in &ws.steps {
             let mut s = self.upivot[t] * d[self.pivot_col[t]];
@@ -1280,18 +1263,19 @@ fn eligible(va: f64, colmax: f64) -> bool {
 /// Marks the end of a [`PivotSearch`] bucket list.
 const NIL: usize = usize::MAX;
 
-/// A set of column indices with a cheap minimum: a binary min-heap plus
-/// membership flags, so a column is queued at most once.
+/// A set of column indices with a cheap minimum: the file's max-heap
+/// ([`heap_push`]/[`heap_pop`]) keyed by `usize::MAX - k`, plus membership
+/// flags, so a column is queued at most once.
 struct ColumnQueue {
-    heap: BinaryHeap<Reverse<usize>>,
+    heap: Vec<(usize, usize)>,
     queued: Vec<bool>,
 }
 
 impl ColumnQueue {
-    /// The set `0..m`.
+    /// The set `0..m` (ascending keys reversed form a valid max-heap).
     fn full(m: usize) -> ColumnQueue {
         ColumnQueue {
-            heap: (0..m).map(Reverse).collect(),
+            heap: (0..m).map(|k| (usize::MAX - k, k)).collect(),
             queued: vec![true; m],
         }
     }
@@ -1299,16 +1283,16 @@ impl ColumnQueue {
     fn insert(&mut self, k: usize) {
         if !self.queued[k] {
             self.queued[k] = true;
-            self.heap.push(Reverse(k));
+            heap_push(&mut self.heap, (usize::MAX - k, k));
         }
     }
 
     fn first(&self) -> Option<usize> {
-        self.heap.peek().map(|&Reverse(k)| k)
+        self.heap.first().map(|&(_, k)| k)
     }
 
     fn pop_first(&mut self) {
-        if let Some(Reverse(k)) = self.heap.pop() {
+        if let Some((_, k)) = heap_pop(&mut self.heap) {
             self.queued[k] = false;
         }
     }
@@ -1877,17 +1861,6 @@ mod tests {
             ws.sol_vec()
         }
 
-        /// `ftran` plus the kernel's result pattern when it stayed sparse —
-        /// the support an [`update`](LuFactor::update) may walk.
-        fn ftran_with_support(&self, b: &[f64]) -> (Vec<f64>, Option<Vec<usize>>) {
-            let mut ws = KernelWs::default();
-            ws.load_dense(b);
-            ws.ensure(self.dim());
-            self.ftran_ws(&mut ws);
-            ws.dim = self.dim();
-            (ws.sol_vec(), ws.sparse.then(|| ws.pattern.clone()))
-        }
-
         fn btran(&self, c: &[f64]) -> Vec<f64> {
             let mut ws = KernelWs::default();
             ws.load_dense(c);
@@ -2045,7 +2018,7 @@ mod tests {
         let d_lu = lu.ftran(&a3);
         assert_vec_close(&d_dense, &d_lu);
         dense.update(0, &d_dense).unwrap();
-        lu.update(0, &d_lu, None).unwrap();
+        lu.update(0, &d_lu).unwrap();
         // A Forrest–Tomlin update keeps U compact: at most one row eta.
         assert!(lu.eta_count() <= 1);
         assert_vec_close(&dense.ftran(&b), &lu.ftran(&b));
@@ -2083,7 +2056,7 @@ mod tests {
             let d = lu.ftran(&a);
             assert_vec_close(&dense.ftran(&a), &d);
             dense.update(pos, &d).unwrap();
-            lu.update(pos, &d, None).unwrap();
+            lu.update(pos, &d).unwrap();
             basis[pos] = col;
             for probe in &probes {
                 assert_vec_close(&dense.ftran(probe), &lu.ftran(probe));
@@ -2119,8 +2092,7 @@ mod tests {
         /// dense inverse after every pivot and with a from-scratch
         /// refactorization of the final basis at the end.  The reference
         /// factorization runs side by side: every update must reach the
-        /// same verdict and leave bitwise-equal factors, with `d`'s support
-        /// handed over on odd pivots and scanned on even ones.
+        /// same verdict and leave bitwise-equal factors.
         #[test]
         fn prop_ft_updates_match_refactorize_after_random_pivots(
             m in 3usize..7,
@@ -2152,7 +2124,7 @@ mod tests {
             assert_same_factors(&lu, &oracle);
 
             let probe: Vec<f64> = (0..m).map(|i| 1.0 - 0.5 * i as f64).collect();
-            for (step, &(pos, spare)) in pivots.iter().enumerate() {
+            for &(pos, spare) in &pivots {
                 let (pos, col) = (pos % m, m + spare);
                 let mut a = vec![0.0; m];
                 cols.for_each(col, &mut |r, v| a[r] += v);
@@ -2160,9 +2132,7 @@ mod tests {
                 for (x, y) in dense.ftran(&a).iter().zip(&d) {
                     proptest::prop_assert!((x - y).abs() < 1e-8);
                 }
-                let support: Vec<usize> = (0..m).filter(|&j| d[j] != 0.0).collect();
-                let given = (step % 2 == 1).then_some(&support[..]);
-                let verdict = lu.update(pos, &d, given);
+                let verdict = lu.update(pos, &d);
                 proptest::prop_assert_eq!(verdict, oracle.update(pos, &d));
                 assert_same_factors(&lu, &oracle);
                 // Mirror the solver contract: a declined update on either
@@ -2173,7 +2143,7 @@ mod tests {
                     proptest::prop_assert!(lu.refactorize(m, &basis, &cols));
                     proptest::prop_assert!(oracle.refactorize(m, &basis, &cols));
                     let d = lu.ftran(&a);
-                    let verdict = lu.update(pos, &d, None);
+                    let verdict = lu.update(pos, &d);
                     proptest::prop_assert_eq!(verdict, oracle.update(pos, &d));
                     assert_same_factors(&lu, &oracle);
                     if verdict.is_err() {
@@ -2213,7 +2183,7 @@ mod tests {
         let mut a = vec![0.0; m];
         cols.for_each(m, &mut |r, v| a[r] += v);
         let d = reused.ftran(&a);
-        reused.update(0, &d, None).unwrap();
+        reused.update(0, &d).unwrap();
         reused.set_identity(m);
 
         let mut unit = ColumnStore::default();
@@ -2243,7 +2213,7 @@ mod tests {
         let mut a = vec![0.0; 2];
         cols.for_each(2, &mut |r, v| a[r] += v);
         let d = lu.ftran(&a);
-        assert_eq!(lu.update(0, &d, None), Err(FactorError::UnstablePivot));
+        assert_eq!(lu.update(0, &d), Err(FactorError::UnstablePivot));
         // Still solves for the *old* basis.
         let b = [3.0, -4.0];
         assert_vec_close(&lu.ftran(&b), &b);
@@ -2344,15 +2314,15 @@ mod tests {
             let col = m + spare;
             let mut a = vec![0.0; m];
             cols.for_each(col, &mut |r, v| a[r] += v);
-            let (d, support) = lu.ftran_with_support(&a);
+            let d = lu.ftran(&a);
             assert_vec_close(&dense.ftran(&a), &d);
             // Mirror the solver contract: a declined update refactorizes
             // both sides on the old basis and retries from pristine factors.
-            if lu.update(pos, &d, support.as_deref()).is_err() || dense.update(pos, &d).is_err() {
+            if lu.update(pos, &d).is_err() || dense.update(pos, &d).is_err() {
                 assert!(dense.refactorize(m, &basis, &cols));
                 assert!(lu.refactorize(m, &basis, &cols));
-                let (d, support) = lu.ftran_with_support(&a);
-                if lu.update(pos, &d, support.as_deref()).is_err() {
+                let d = lu.ftran(&a);
+                if lu.update(pos, &d).is_err() {
                     continue;
                 }
                 dense.update(pos, &dense.ftran(&a)).unwrap();
@@ -2392,9 +2362,8 @@ mod tests {
                 let (pos, col) = (pos % m, m + spare % m);
                 let mut a = vec![0.0; m];
                 cols.for_each(col, &mut |r, v| a[r] += v);
-                // The sparse update walks the ftran's own result pattern.
-                let (d, support) = lu.ftran_with_support(&a);
-                let verdict = lu.update(pos, &d, support.as_deref());
+                let d = lu.ftran(&a);
+                let verdict = lu.update(pos, &d);
                 proptest::prop_assert_eq!(verdict, oracle.update(pos, &d));
                 assert_same_factors(&lu, &oracle);
                 if verdict.is_err() || dense.update(pos, &d).is_err() {
@@ -2499,12 +2468,12 @@ mod tests {
             for spare in [0usize, 4, 9, 2, 20, 33] {
                 let mut a = vec![0.0; m];
                 cols.for_each(m + spare, &mut |r, v| a[r] += v);
-                let (d, support) = lu.ftran_with_support(&a);
+                let d = lu.ftran(&a);
                 // Leave at the direction's largest entry (a stable pivot).
                 let pos = (0..m)
                     .max_by(|&x, &y| d[x].abs().total_cmp(&d[y].abs()))
                     .unwrap();
-                if lu.update(pos, &d, support.as_deref()).is_ok() {
+                if lu.update(pos, &d).is_ok() {
                     applied += 1;
                 }
             }
